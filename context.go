@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"strings"
 	"time"
 
 	"repro/internal/budget"
@@ -13,26 +13,33 @@ import (
 	"repro/internal/qlog"
 )
 
-// Context-honoring entry points. Each engine checks the context
-// periodically inside its evaluation loops (every few hundred to few
-// thousand inner-loop iterations — frequent enough that cancellation lands
-// within microseconds on real indexes, rare enough to stay off the join's
-// hot-path profile) and aborts with ctx.Err(). An already-cancelled
-// context returns before any list is scanned.
+// The query pipeline. Search, TopK and TopKStream — plain, Context,
+// Traced or prepared, on an Index, a Corpus or a Sharded — are one
+// request with a different k and sink. Every public entry point is a
+// wrapper that fills a request and hands it to one of two executors:
+// Index.run evaluates it against one pinned snapshot, Sharded.run
+// scatters the same request to every shard's Index.run and gathers. Both
+// end in the one epilogue, queryObs.finish (stats.go), which is the only
+// place a query is counted, traced and logged. See DESIGN.md §17.
 //
-// These entry points also form the public API's panic boundary: a panic
-// out of the evaluation engines — possible only through corrupted
-// in-memory state, e.g. an index mutated concurrently with a query —
-// is contained and surfaced as an error wrapping ErrInternal rather than
-// taking down the caller's process.
+// Each engine checks the context periodically inside its evaluation loops
+// (every few hundred to few thousand inner-loop iterations — frequent
+// enough that cancellation lands within microseconds on real indexes,
+// rare enough to stay off the join's hot-path profile) and aborts with
+// ctx.Err(). An already-cancelled context returns before any list is
+// scanned.
 //
-// Every public entry point funnels through a private *Obs variant that
-// threads an optional *obs.Trace into the engines (nil — the untraced
-// default — keeps the engines' instrumentation at a single pointer check
-// per site) and records the query into the index's metrics registry.
+// The executors also form the public API's panic boundary: a panic out of
+// the evaluation engines — possible only through corrupted in-memory
+// state, e.g. an index mutated concurrently with a query — is contained
+// and surfaced as an error wrapping ErrInternal rather than taking down
+// the caller's process.
+//
 // Engine dispatch is a registry lookup (see engines.go): an explicit
 // Algorithm resolves without planning, AlgoAuto consults the cost-based
-// planner through the snapshot-keyed plan cache.
+// planner through the snapshot-keyed plan cache. A nil request trace —
+// the untraced default — keeps the engines' instrumentation at a single
+// pointer check per site.
 
 // ErrInternal is wrapped by errors reporting a contained engine panic.
 // Results accompanying such an error must be discarded.
@@ -53,6 +60,11 @@ var ErrCancelled = errors.New("xmlsearch: query cancelled")
 // the budget package's sentinel; the returned error is a *budget.Error
 // carrying which dimension tripped and by how much.
 var ErrBudgetExceeded = budget.ErrExceeded
+
+var (
+	errPositiveK   = errors.New("xmlsearch: k must be positive")
+	errNilCallback = errors.New("xmlsearch: nil callback")
+)
 
 // classifyErr maps the raw abort cause coming out of an engine to the
 // public taxonomy: deadline expiry and cancellation get distinct
@@ -77,6 +89,133 @@ func classifyErr(err error) error {
 func isAbort(err error) bool {
 	return errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, ErrCancelled) || errors.Is(err, ErrBudgetExceeded)
 }
+
+// The three query operations, named as the flight recorder names them.
+const (
+	opSearch = "search"
+	opTopK   = "topk"
+	opStream = "topk_stream"
+)
+
+// request is one query on its way through the pipeline.
+type request struct {
+	op       string
+	query    string
+	keywords []string // tokenized once, when the request is built
+	k        int      // 0 for opSearch
+	opt      SearchOptions
+	emit     func(Result) bool // the sink of an opStream request
+	tr       *obs.Trace        // nil = untraced
+	// dropRoot drops level-1 results — the synthetic root of a Corpus or
+	// of a shard — from the answer, which still holds k results when the
+	// root would have occupied a slot.
+	dropRoot bool
+}
+
+// newRequest tokenizes the query and normalises the semantics to the
+// 0/1 every engine package shares (anything but SLCA means ELCA).
+func newRequest(op, query string, k int, opt SearchOptions, emit func(Result) bool) request {
+	if opt.Semantics != SLCA {
+		opt.Semantics = ELCA
+	}
+	return request{op: op, query: query, keywords: Keywords(query), k: k, opt: opt, emit: emit}
+}
+
+// request builds a request against this index; a Corpus's index has a
+// synthetic root to drop.
+func (ix *Index) request(op, query string, k int, opt SearchOptions, emit func(Result) bool) request {
+	req := newRequest(op, query, k, opt, emit)
+	req.dropRoot = ix.dropRoot
+	return req
+}
+
+func (r *request) validate() error {
+	switch {
+	case r.op != opSearch && r.k <= 0:
+		return errPositiveK
+	case r.op == opStream && r.emit == nil:
+		return errNilCallback
+	case len(r.keywords) == 0:
+		return ErrNoKeywords
+	}
+	return nil
+}
+
+// engineSlot is the metrics slot the request is attributed to before its
+// engine is resolved (and after, for every explicit algorithm): the
+// stream always runs the top-K star join, as does AlgoJoin's top-K mode;
+// AlgoAuto defaults to the join slot until the planner picks.
+func (r *request) engineSlot() obs.Engine {
+	if r.op == opStream {
+		return obs.EngineTopK
+	}
+	return engines.ObsFor(int(r.opt.Algorithm), r.op == opTopK, obs.EngineJoin)
+}
+
+// rootSpan names the root span of a traced request. Explicit algorithms
+// name their engine's metrics slot; AlgoAuto names the planner — the
+// engine it chose is recorded on the plan-switch event and in the
+// returned QueryStats.Engine.
+func (r *request) rootSpan() string {
+	name := r.engineSlot().String()
+	if r.op != opStream && r.opt.Algorithm == AlgoAuto {
+		name = "auto"
+	}
+	return strings.ReplaceAll(r.op, "_", "-") + "/" + name
+}
+
+// streamSink stands between a streaming evaluation and the request's
+// callback, so the outcome counts — and, with the flight recorder on,
+// fingerprints — exactly what the caller was handed: streamed results are
+// never re-materialized, so the hash accumulates in flight.
+type streamSink struct {
+	emit func(Result) bool
+	// limit, when positive, is a dropRoot request's k: level-1 results are
+	// skipped and the stream stops after limit deliveries.
+	limit int
+	logOn bool
+	n     int
+	fp    qlog.Hash
+}
+
+func (r *request) sink(logOn bool) *streamSink {
+	s := &streamSink{emit: r.emit, logOn: logOn, fp: qlog.NewHash()}
+	if r.dropRoot {
+		s.limit = r.k
+	}
+	return s
+}
+
+func (s *streamSink) deliver(res Result) bool {
+	if s.limit > 0 && res.Level <= 1 {
+		return true
+	}
+	if s.logOn {
+		s.fp = s.fp.Result(res.Dewey, res.Score)
+	}
+	s.n++
+	return s.emit(res) && s.n != s.limit
+}
+
+// outcome is what an executor hands back to the entry-point wrappers and
+// to finish.
+type outcome struct {
+	rs   []Result // nil for a stream
+	n    int      // results returned or streamed
+	meta exec.RunMeta
+	eng  obs.Engine
+	err  error // what the caller sees
+	// trip is the abort a certified-partial answer was settled from: the
+	// caller sees a nil error, the books record the cause.
+	trip   error
+	fp     qlog.Hash           // a stream's fingerprint (see streamSink)
+	stages *obs.StageBreakdown // set by finish for a traced request
+}
+
+func (o outcome) results() ([]Result, error) { return o.rs, o.err }
+
+// executor is the signature Index.run and Sharded.run share.
+type executor = func(context.Context, request) outcome
 
 // withTimeout derives the evaluation context from the caller's: the
 // option timeout is layered on (never replacing an earlier caller
@@ -104,16 +243,84 @@ func (ix *Index) queryBudget(opt SearchOptions) *budget.B {
 	return b
 }
 
-// settle is the shared abort epilogue: it classifies the error, counts
-// budget trips, and — when the caller opted into partial answers and the
-// engine can bound its unseen results — converts the abort into a
-// successful certified-partial answer. It returns the results and error
-// for the caller plus the original trip error for the metrics/trace path
-// (nil when the query genuinely completed), so a settled partial query is
-// still recorded as aborted by the observability layer.
-func (ix *Index) settle(rs []Result, meta exec.RunMeta, caps exec.Capability, opt SearchOptions, err error) ([]Result, exec.RunMeta, error, error) {
+// guard converts a panic escaping an engine into an ErrInternal error.
+func guard(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%w: %v", ErrInternal, r)
+	}
+}
+
+// run is the unsharded executor: it validates the request, pins the
+// current snapshot, resolves the engine through the registry (planning
+// cost-based for AlgoAuto), runs or streams the evaluation, and settles
+// an abort. Every list, node lookup, and materialization of the query
+// comes from the one pinned snapshot, so a concurrently published
+// mutation cannot tear the evaluation.
+func (ix *Index) run(ctx context.Context, req request) (out outcome) {
+	start := time.Now()
+	ix.pinned.Add(1)
+	out.eng = req.engineSlot()
+	bdg := ix.queryBudget(req.opt)
+	defer func() {
+		ix.pinned.Add(-1)
+		ix.finish(&req, &out, time.Since(start), bdg, 0)
+	}()
+	defer guard(&out.err)
+	ctx, cancel := withTimeout(ctx, req.opt)
+	defer cancel()
+	var caps exec.Capability
+	err := func() error {
+		if err := req.validate(); err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s := ix.view()
+		q := exec.Query{Keywords: req.keywords, Semantics: int(req.opt.Semantics), K: req.k,
+			Decay: effectiveDecay(req.opt.Decay), Budget: bdg, AllowPartial: req.opt.AllowPartial}
+		if req.dropRoot && q.K > 0 {
+			q.K++ // the root may occupy a slot
+		}
+		if req.op == opStream {
+			// The registry's one streaming-capable engine, whatever
+			// opt.Algorithm says.
+			e := engines.ForStream()
+			caps = e.Caps
+			snk := req.sink(ix.qlog.Load().Enabled())
+			_, meta, err := e.Stream(ctx, s, q, req.tr, snk.deliver)
+			out.n, out.fp, out.meta = snk.n, snk.fp, meta
+			return err
+		}
+		e, _, err := ix.resolveEngine(s, q, req.opt.Algorithm, req.op == opTopK, req.tr)
+		if err != nil {
+			return err
+		}
+		out.eng, caps = e.Obs, e.Caps
+		out.rs, out.meta, err = e.Run(ctx, s, q, req.tr)
+		return err
+	}()
+	ssp := req.tr.Stage(obs.StageSettle)
+	ix.settle(&out, caps, req.opt, err)
+	req.tr.End(ssp)
+	if req.op != opStream {
+		if req.dropRoot {
+			out.rs = truncate(dropLevel1(out.rs), req.k)
+		}
+		out.n = len(out.rs)
+	}
+	return out
+}
+
+// settle is the abort epilogue: it classifies the error, counts budget
+// trips, and — when the caller opted into partial answers and the engine
+// can bound its unseen results — converts the abort into a successful
+// certified-partial answer whose cause survives in out.trip. Every
+// streamed result was threshold-proven before delivery, so a settled
+// stream simply ends cleanly.
+func (ix *Index) settle(out *outcome, caps exec.Capability, opt SearchOptions, err error) {
 	if err == nil {
-		return rs, meta, nil, nil
+		return
 	}
 	err = classifyErr(err)
 	var berr *budget.Error
@@ -126,40 +333,27 @@ func (ix *Index) settle(rs []Result, meta exec.RunMeta, caps exec.Capability, op
 		}
 	}
 	if !opt.AllowPartial || caps&exec.CapPartial == 0 || !isAbort(err) {
-		return nil, meta, err, err
+		out.rs, out.err = nil, err
+		return
 	}
-	if !meta.Partial {
+	if !out.meta.Partial {
 		// Aborted before the engine reported a bound (e.g. while opening
 		// lists): nothing is certified.
-		meta = exec.RunMeta{Partial: true, UnseenBound: math.Inf(1)}
+		out.meta = abortedMeta()
 	}
-	for i := range rs {
-		rs[i].Exact = rs[i].Score >= meta.UnseenBound
-	}
-	ix.metrics.Serving.PartialQueries.Add(1)
-	return rs, meta, nil, err
+	recertify(out.rs, out.meta)
+	out.trip = err
 }
 
-// guard converts a panic escaping an engine into an ErrInternal error.
-func guard(err *error) {
-	if r := recover(); r != nil {
-		*err = fmt.Errorf("%w: %v", ErrInternal, r)
+// dropLevel1 filters the synthetic root out of a ranked result slice.
+func dropLevel1(rs []Result) []Result {
+	out := rs[:0]
+	for _, r := range rs {
+		if r.Level > 1 {
+			out = append(out, r)
+		}
 	}
-}
-
-// searchEngineSlot maps an Algorithm to its metrics slot for complete
-// evaluations — the attribution used before the engine is resolved (and
-// after, for every explicit algorithm). AlgoAuto is attributed to the
-// engine the planner picks; its pre-plan default is the join slot.
-func searchEngineSlot(a Algorithm) obs.Engine {
-	return engines.ObsFor(int(a), false, obs.EngineJoin)
-}
-
-// topKEngineSlot maps an Algorithm to its metrics slot for top-K
-// evaluations; AlgoJoin selects the top-K star join rather than the
-// complete join.
-func topKEngineSlot(a Algorithm) obs.Engine {
-	return engines.ObsFor(int(a), true, obs.EngineJoin)
+	return out
 }
 
 // resolveEngine picks the engine for a resolved query: a registry lookup
@@ -232,208 +426,7 @@ func (s *snapshot) planStats(keywords []string) exec.Stats {
 // ErrDeadlineExceeded — unless opt.AllowPartial settles the abort into a
 // certified-partial answer.
 func (ix *Index) SearchContext(ctx context.Context, query string, opt SearchOptions) ([]Result, error) {
-	rs, _, _, err := ix.searchObs(ctx, query, nil, opt, nil)
-	return rs, err
-}
-
-// qinfo carries what the flight recorder needs beyond the metrics path's
-// arguments: the entry point, the query's budget (doubling as its
-// resource profile), the result-set fingerprint, and the error the
-// caller actually saw (nil for a settled partial answer, unlike the trip
-// error the metrics path records).
-type qinfo struct {
-	op      string
-	opt     SearchOptions
-	bdg     *budget.B
-	fp      qlog.Hash
-	hasFP   bool
-	visible error
-}
-
-// outcomeClass maps a finished query to its flight-recorder outcome:
-// ferr is the trip-or-error the metrics path saw, visible the error the
-// caller saw. A settled certified-partial answer has ferr non-nil but
-// visible nil.
-func outcomeClass(visible, ferr error) string {
-	switch {
-	case ferr == nil:
-		return qlog.OutcomeOK
-	case visible == nil:
-		return qlog.OutcomePartial
-	case errors.Is(ferr, ErrDeadlineExceeded):
-		return qlog.OutcomeDeadline
-	case errors.Is(ferr, ErrCancelled):
-		return qlog.OutcomeCancelled
-	case errors.Is(ferr, ErrBudgetExceeded):
-		return qlog.OutcomeBudget
-	default:
-		return qlog.OutcomeError
-	}
-}
-
-// resultsHash folds a result slice into the deterministic fingerprint.
-func resultsHash(rs []Result) qlog.Hash {
-	h := qlog.NewHash()
-	for _, r := range rs {
-		h = h.Result(r.Dewey, r.Score)
-	}
-	return h
-}
-
-// finishQuery is the shared tail of every query path: engine metrics and
-// slow-query log; then — when a trace store is installed and the query
-// was traced — the tail-sampling offer, linking the retained trace ID
-// into the engine's latency histogram as an exemplar; then — when the
-// flight recorder is on — the query's record, offered without blocking.
-func (ix *Index) finishQuery(e obs.Engine, query string, k int, elapsed time.Duration, results int, err error, tr *obs.Trace, qi qinfo) {
-	ix.metrics.RecordQuery(e, query, k, elapsed, results, err, tr)
-	bd := recordBreakdown(ix.metrics, e, elapsed, tr)
-	var traceID uint64
-	if ts := ix.traces.Load(); ts != nil && tr != nil {
-		if id := ts.Add(e, query, k, elapsed, results, err, tr); id != 0 {
-			traceID = id
-			if em := ix.metrics.Engine(e); em != nil {
-				em.Latency.SetExemplar(elapsed, int64(id))
-			}
-		}
-	}
-	r := ix.qlog.Load()
-	if !r.Enabled() {
-		return
-	}
-	rec := qlog.Record{
-		Op:           qi.op,
-		Keywords:     Keywords(query),
-		Semantics:    semLabel(qi.opt.Semantics),
-		K:            k,
-		Algo:         qi.opt.Algorithm.String(),
-		Engine:       e.String(),
-		Outcome:      outcomeClass(qi.visible, err),
-		DurationNs:   elapsed.Nanoseconds(),
-		Results:      results,
-		DecodedBytes: qi.bdg.Decoded(),
-		CacheHits:    qi.bdg.CacheHits(),
-		Candidates:   qi.bdg.Candidates(),
-		TraceID:      traceID,
-	}
-	if qi.hasFP {
-		rec.Fingerprint = qi.fp.String()
-	}
-	annotateStages(&rec, bd)
-	switch {
-	case qi.visible != nil:
-		rec.Err = qi.visible.Error()
-	case err != nil:
-		// Settled partial: record the abort that was converted.
-		rec.Err = err.Error()
-	}
-	r.Offer(rec)
-}
-
-// recordBreakdown reduces a traced query's timeline to its stage
-// breakdown and folds it into the attribution counters. Untraced queries
-// return nil: attribution exists only where a timeline exists.
-func recordBreakdown(m *obs.Metrics, e obs.Engine, elapsed time.Duration, tr *obs.Trace) *obs.StageBreakdown {
-	if tr == nil || len(tr.Spans()) == 0 {
-		return nil
-	}
-	bd := obs.BreakdownOf(tr.Spans(), elapsed)
-	m.Stage.RecordBreakdown(e, &bd)
-	return &bd
-}
-
-// annotateStages copies a breakdown's per-stage nanos and straggler shard
-// onto a flight-recorder record. StragglerShard is stored 1-based so that
-// omitempty elides it for unscattered (and untraced) queries.
-func annotateStages(rec *qlog.Record, bd *obs.StageBreakdown) {
-	if bd == nil || len(bd.Stages) == 0 {
-		return
-	}
-	rec.StageNs = make(map[string]int64, len(bd.Stages))
-	for _, s := range bd.Stages {
-		rec.StageNs[s.Stage] = s.Nanos
-	}
-	if bd.Straggler >= 0 {
-		rec.StragglerShard = bd.Straggler + 1
-	}
-}
-
-// semLabel renders the semantics in the flight-recorder's lowercase form.
-func semLabel(s Semantics) string {
-	if s == SLCA {
-		return "slca"
-	}
-	return "elca"
-}
-
-// searchObs wraps searchEval with the panic guard and per-query metrics
-// accounting (latency histogram, result/error/cancellation counters, the
-// slow-query log, and tail-sampled trace capture). kws, when non-nil,
-// are the query's pre-tokenized keywords (the prepared-query path); nil
-// tokenizes query. The resolved metrics slot is returned for the traced
-// entry points.
-func (ix *Index) searchObs(ctx context.Context, query string, kws []string, opt SearchOptions, tr *obs.Trace) (rs []Result, meta exec.RunMeta, eng obs.Engine, err error) {
-	start := time.Now()
-	ix.pinned.Add(1)
-	eng = searchEngineSlot(opt.Algorithm)
-	bdg := ix.queryBudget(opt)
-	var trip error
-	defer func() {
-		ix.pinned.Add(-1)
-		// A settled partial query returns nil to the caller but is recorded
-		// under its original abort cause, so the cancellation counters and
-		// the trace store's always-retain rule still see it.
-		ferr := err
-		if ferr == nil && trip != nil {
-			ferr = trip
-		}
-		qi := qinfo{op: "search", opt: opt, bdg: bdg, visible: err}
-		if err == nil {
-			qi.fp, qi.hasFP = resultsHash(rs), true
-		}
-		ix.finishQuery(eng, query, 0, time.Since(start), len(rs), ferr, tr, qi)
-	}()
-	defer guard(&err)
-	ctx, cancel := withTimeout(ctx, opt)
-	defer cancel()
-	var caps exec.Capability
-	rs, meta, caps, eng, err = ix.searchEval(ctx, query, kws, opt, bdg, tr)
-	ssp := tr.Stage(obs.StageSettle)
-	rs, meta, err, trip = ix.settle(rs, meta, caps, opt, err)
-	tr.End(ssp)
-	return rs, meta, eng, err
-}
-
-// searchEval pins the current snapshot, resolves the engine through the
-// registry (planning cost-based for AlgoAuto), and runs the complete
-// evaluation. Every list, node lookup, and materialization of the query
-// comes from the one pinned snapshot, so a concurrently published
-// mutation cannot tear the evaluation.
-func (ix *Index) searchEval(ctx context.Context, query string, kws []string, opt SearchOptions, bdg *budget.B, tr *obs.Trace) (rs []Result, meta exec.RunMeta, caps exec.Capability, eng obs.Engine, err error) {
-	eng = searchEngineSlot(opt.Algorithm)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	keywords := kws
-	if keywords == nil {
-		keywords = Keywords(query)
-	}
-	if len(keywords) == 0 {
-		return nil, meta, caps, eng, ErrNoKeywords
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, meta, caps, eng, err
-	}
-	s := ix.view()
-	q := exec.Query{Keywords: keywords, Semantics: int(opt.Semantics), Decay: effectiveDecay(opt.Decay),
-		Budget: bdg, AllowPartial: opt.AllowPartial}
-	e, _, err := ix.resolveEngine(s, q, opt.Algorithm, false, tr)
-	if err != nil {
-		return nil, meta, caps, eng, err
-	}
-	eng, caps = e.Obs, e.Caps
-	rs, meta, err = e.Run(ctx, s, q, tr)
-	return rs, meta, caps, eng, err
+	return ix.run(ctx, ix.request(opSearch, query, 0, opt, nil)).results()
 }
 
 // TopKContext is TopK honoring a context: cancellation or deadline expiry
@@ -441,171 +434,12 @@ func (ix *Index) searchEval(ctx context.Context, query string, kws []string, opt
 // ErrDeadlineExceeded without completing the scan — unless
 // opt.AllowPartial settles the abort into a certified-partial answer.
 func (ix *Index) TopKContext(ctx context.Context, query string, k int, opt SearchOptions) ([]Result, error) {
-	rs, _, _, err := ix.topKObs(ctx, query, nil, k, opt, nil)
-	return rs, err
-}
-
-// topKObs wraps topKEval with the panic guard and per-query metrics
-// accounting.
-func (ix *Index) topKObs(ctx context.Context, query string, kws []string, k int, opt SearchOptions, tr *obs.Trace) (rs []Result, meta exec.RunMeta, eng obs.Engine, err error) {
-	start := time.Now()
-	ix.pinned.Add(1)
-	eng = topKEngineSlot(opt.Algorithm)
-	bdg := ix.queryBudget(opt)
-	var trip error
-	defer func() {
-		ix.pinned.Add(-1)
-		ferr := err
-		if ferr == nil && trip != nil {
-			ferr = trip
-		}
-		qi := qinfo{op: "topk", opt: opt, bdg: bdg, visible: err}
-		if err == nil {
-			qi.fp, qi.hasFP = resultsHash(rs), true
-		}
-		ix.finishQuery(eng, query, k, time.Since(start), len(rs), ferr, tr, qi)
-	}()
-	defer guard(&err)
-	ctx, cancel := withTimeout(ctx, opt)
-	defer cancel()
-	var caps exec.Capability
-	rs, meta, caps, eng, err = ix.topKEval(ctx, query, kws, k, opt, bdg, tr)
-	ssp := tr.Stage(obs.StageSettle)
-	rs, meta, err, trip = ix.settle(rs, meta, caps, opt, err)
-	tr.End(ssp)
-	return rs, meta, eng, err
-}
-
-// topKEval resolves the engine through the registry and runs the top-K
-// evaluation against the pinned snapshot.
-func (ix *Index) topKEval(ctx context.Context, query string, kws []string, k int, opt SearchOptions, bdg *budget.B, tr *obs.Trace) (rs []Result, meta exec.RunMeta, caps exec.Capability, eng obs.Engine, err error) {
-	eng = topKEngineSlot(opt.Algorithm)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if k <= 0 {
-		return nil, meta, caps, eng, fmt.Errorf("xmlsearch: k must be positive")
-	}
-	keywords := kws
-	if keywords == nil {
-		keywords = Keywords(query)
-	}
-	if len(keywords) == 0 {
-		return nil, meta, caps, eng, ErrNoKeywords
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, meta, caps, eng, err
-	}
-	s := ix.view()
-	q := exec.Query{Keywords: keywords, Semantics: int(opt.Semantics), K: k, Decay: effectiveDecay(opt.Decay),
-		Budget: bdg, AllowPartial: opt.AllowPartial}
-	e, _, err := ix.resolveEngine(s, q, opt.Algorithm, true, tr)
-	if err != nil {
-		return nil, meta, caps, eng, err
-	}
-	eng, caps = e.Obs, e.Caps
-	rs, meta, err = e.Run(ctx, s, q, tr)
-	return rs, meta, caps, eng, err
+	return ix.run(ctx, ix.request(opTopK, query, k, opt, nil)).results()
 }
 
 // TopKStreamContext is TopKStream honoring a context: results already
 // proven safe are delivered to fn before cancellation is observed; the
 // remaining evaluation then aborts with ctx.Err().
 func (ix *Index) TopKStreamContext(ctx context.Context, query string, k int, opt SearchOptions, fn func(Result) bool) error {
-	_, _, err := ix.topKStreamObs(ctx, query, nil, k, opt, fn, nil)
-	return err
-}
-
-// topKStreamObs runs the streaming top-K star join (the registry's one
-// streaming-capable engine, regardless of opt.Algorithm), guarded and
-// metered like the other entry points. It returns the number of results
-// delivered. Every streamed result was threshold-proven before delivery,
-// so with opt.AllowPartial an abort simply ends the stream cleanly (nil
-// error); the returned RunMeta reports that the answer is partial.
-func (ix *Index) topKStreamObs(ctx context.Context, query string, kws []string, k int, opt SearchOptions, fn func(Result) bool, tr *obs.Trace) (delivered int, meta exec.RunMeta, err error) {
-	start := time.Now()
-	ix.pinned.Add(1)
-	bdg := ix.queryBudget(opt)
-	// With the recorder on, wrap the callback to fold each streamed result
-	// into the fingerprint as it is delivered — streamed results are never
-	// re-materialized, so the hash must accumulate in flight.
-	streamFP := qlog.NewHash()
-	logOn := ix.qlog.Load().Enabled()
-	if logOn && fn != nil {
-		inner := fn
-		fn = func(r Result) bool {
-			streamFP = streamFP.Result(r.Dewey, r.Score)
-			return inner(r)
-		}
-	}
-	var trip error
-	defer func() {
-		ix.pinned.Add(-1)
-		ferr := err
-		if ferr == nil && trip != nil {
-			ferr = trip
-		}
-		qi := qinfo{op: "topk_stream", opt: opt, bdg: bdg, visible: err}
-		if logOn && err == nil {
-			qi.fp, qi.hasFP = streamFP, true
-		}
-		ix.finishQuery(obs.EngineTopK, query, k, time.Since(start), delivered, ferr, tr, qi)
-	}()
-	defer guard(&err)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if k <= 0 {
-		return 0, meta, fmt.Errorf("xmlsearch: k must be positive")
-	}
-	if fn == nil {
-		return 0, meta, fmt.Errorf("xmlsearch: nil callback")
-	}
-	keywords := kws
-	if keywords == nil {
-		keywords = Keywords(query)
-	}
-	if len(keywords) == 0 {
-		return 0, meta, ErrNoKeywords
-	}
-	ctx, cancel := withTimeout(ctx, opt)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		return 0, meta, classifyErr(err)
-	}
-	s := ix.view()
-	q := exec.Query{Keywords: keywords, Semantics: int(opt.Semantics), K: k, Decay: effectiveDecay(opt.Decay),
-		Budget: bdg, AllowPartial: opt.AllowPartial}
-	e := engines.ForStream()
-	delivered, meta, err = e.Stream(ctx, s, q, tr, fn)
-	ssp := tr.Stage(obs.StageSettle)
-	_, meta, err, trip = ix.settle(nil, meta, e.Caps, opt, err)
-	tr.End(ssp)
-	return delivered, meta, err
-}
-
-// SearchContext is Corpus.Search honoring a context.
-func (c *Corpus) SearchContext(ctx context.Context, query string, opt SearchOptions) ([]Result, error) {
-	rs, err := c.Index.SearchContext(ctx, query, opt)
-	if err != nil {
-		return nil, err
-	}
-	return dropSyntheticRoot(rs), nil
-}
-
-// TopKContext is Corpus.TopK honoring a context.
-func (c *Corpus) TopKContext(ctx context.Context, query string, k int, opt SearchOptions) ([]Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("xmlsearch: k must be positive")
-	}
-	// Fetch one extra in case the synthetic root occupies a slot.
-	rs, err := c.Index.TopKContext(ctx, query, k+1, opt)
-	if err != nil {
-		return nil, err
-	}
-	rs = dropSyntheticRoot(rs)
-	if len(rs) > k {
-		rs = rs[:k]
-	}
-	return rs, nil
+	return ix.run(ctx, ix.request(opStream, query, k, opt, fn)).err
 }

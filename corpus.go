@@ -20,10 +20,16 @@ import (
 // so every engine works unchanged; results additionally carry which source
 // document they came from. Results rooted at the synthetic corpus element
 // itself (keywords co-occurring only across documents) are filtered out,
-// since no real subtree corresponds to them.
+// since no real subtree corresponds to them: the index is marked dropRoot,
+// so every entry point Corpus inherits from Index drops them.
 type Corpus struct {
 	*Index
 	names []string
+}
+
+func newCorpus(idx *Index, names []string) *Corpus {
+	idx.dropRoot = true
+	return &Corpus{Index: idx, names: names}
 }
 
 // OpenCorpus parses and indexes the XML documents at the given paths into
@@ -72,7 +78,7 @@ func OpenCorpusReaders(readers []io.Reader, names []string, opts ...Option) (*Co
 	if err != nil {
 		return nil, err
 	}
-	return &Corpus{Index: idx, names: append([]string(nil), names...)}, nil
+	return newCorpus(idx, append([]string(nil), names...)), nil
 }
 
 // Docs returns the document names in corpus order.
@@ -91,27 +97,6 @@ func (c *Corpus) FileOf(r Result) string {
 		return ""
 	}
 	return c.names[i-1]
-}
-
-// Search evaluates the query over the whole corpus, dropping the synthetic
-// root if it surfaces as a result.
-func (c *Corpus) Search(query string, opt SearchOptions) ([]Result, error) {
-	rs, err := c.Index.Search(query, opt)
-	return dropSyntheticRoot(rs), err
-}
-
-// TopK returns the corpus-wide top-K (the synthetic root excluded).
-func (c *Corpus) TopK(query string, k int, opt SearchOptions) ([]Result, error) {
-	// Fetch one extra in case the synthetic root occupies a slot.
-	rs, err := c.Index.TopK(query, k+1, opt)
-	if err != nil {
-		return nil, err
-	}
-	rs = dropSyntheticRoot(rs)
-	if len(rs) > k {
-		rs = rs[:k]
-	}
-	return rs, nil
 }
 
 const corpusNamesMagic = "XKWNAM1\n"
@@ -194,16 +179,5 @@ func LoadCorpus(dir string) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Corpus{Index: idx, names: names}, nil
-}
-
-func dropSyntheticRoot(rs []Result) []Result {
-	out := rs[:0]
-	for _, r := range rs {
-		if r.Level == 1 {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
+	return newCorpus(idx, names), nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/ixlookup"
 	"repro/internal/obs"
+	"repro/internal/rdil"
 	"repro/internal/score"
 	"repro/internal/stack"
 	"repro/internal/topk"
@@ -85,7 +86,7 @@ func runJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]R
 	}
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
-	rs, _, err := core.EvaluateCtx(ctx, lists, core.Options{Semantics: coreSem(Semantics(q.Semantics)), Decay: q.Decay, Trace: tr})
+	rs, _, err := core.EvaluateCtx(ctx, lists, core.Options{Semantics: core.Semantics(q.Semantics), Decay: q.Decay, Trace: tr})
 	if err != nil {
 		core.SortByScore(rs)
 		return truncate(s.materializeJoin(rs), q.K), abortedMeta(), err
@@ -108,7 +109,7 @@ func runTopKJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) 
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
 	rs, st, err := topk.EvaluateCtx(ctx, lists, topk.Options{
-		Semantics: coreSem(Semantics(q.Semantics)), Decay: q.Decay, K: q.K, Trace: tr,
+		Semantics: core.Semantics(q.Semantics), Decay: q.Decay, K: q.K, Trace: tr,
 		Budget: q.Budget, Partial: q.AllowPartial,
 	})
 	return s.materializeJoin(rs), exec.RunMeta{Partial: st.Partial, UnseenBound: st.UnseenBound}, err
@@ -130,7 +131,7 @@ func streamTopKJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trac
 	defer tr.End(jsp)
 	delivered := 0
 	_, st, err := topk.EvaluateFuncCtx(ctx, lists, topk.Options{
-		Semantics: coreSem(Semantics(q.Semantics)), Decay: q.Decay, K: q.K, Trace: tr,
+		Semantics: core.Semantics(q.Semantics), Decay: q.Decay, K: q.K, Trace: tr,
 		Budget: q.Budget,
 	},
 		func(r core.Result) bool {
@@ -155,7 +156,7 @@ func runStack(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]
 	tr.End(osp)
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
-	rs, _, err := stack.EvaluateObsCtx(ctx, lists, stackSem(Semantics(q.Semantics)), q.Decay, tr)
+	rs, _, err := stack.EvaluateObsCtx(ctx, lists, stack.Semantics(q.Semantics), q.Decay, tr)
 	stack.SortByScore(rs)
 	out := make([]Result, 0, len(rs))
 	for _, r := range rs {
@@ -175,7 +176,7 @@ func runIxLookup(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) 
 	tr.End(osp)
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
-	rs, _, err := ixlookup.EvaluateObsCtx(ctx, lists, ixlookupSem(Semantics(q.Semantics)), q.Decay, tr)
+	rs, _, err := ixlookup.EvaluateObsCtx(ctx, lists, ixlookup.Semantics(q.Semantics), q.Decay, tr)
 	if err != nil {
 		return nil, abortedMeta(), err
 	}
@@ -203,7 +204,7 @@ func runRDIL(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]R
 	tr.End(osp)
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
-	rs, _, err := s.rdilIdx.TopKObsCtx(ctx, q.Keywords, rdilSem(Semantics(q.Semantics)), q.Decay, q.K, tr)
+	rs, _, err := s.rdilIdx.TopKObsCtx(ctx, q.Keywords, rdil.Semantics(q.Semantics), q.Decay, q.K, tr)
 	if err != nil {
 		return nil, abortedMeta(), err
 	}
@@ -233,7 +234,7 @@ func runHybrid(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
 	rs, _, err := topk.EvaluateHybridCtx(ctx, colLists, tkLists,
-		topk.HybridOptions{Semantics: coreSem(Semantics(q.Semantics)), Decay: q.Decay, K: q.K, Trace: tr, Budget: q.Budget})
+		topk.HybridOptions{Semantics: core.Semantics(q.Semantics), Decay: q.Decay, K: q.K, Trace: tr, Budget: q.Budget})
 	if err != nil {
 		return nil, abortedMeta(), err
 	}
@@ -253,11 +254,4 @@ func effectiveDecay(d float64) float64 {
 		return score.DefaultDecay
 	}
 	return d
-}
-
-func ixlookupSem(s Semantics) ixlookup.Semantics {
-	if s == SLCA {
-		return ixlookup.SLCA
-	}
-	return ixlookup.ELCA
 }

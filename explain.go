@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/score"
 	"repro/internal/topk"
 )
 
@@ -75,17 +74,15 @@ func (ix *Index) Explain(query string, k int, opt SearchOptions) (*Explanation, 
 	if opt.Algorithm != AlgoJoin && opt.Algorithm != AlgoAuto {
 		return nil, fmt.Errorf("xmlsearch: Explain supports the join-based engine only")
 	}
-	keywords := Keywords(query)
+	// Tokenize and normalise the options exactly as a served query does.
+	req := newRequest(opSearch, query, k, opt, nil)
+	keywords, sem, decay := req.keywords, core.Semantics(req.opt.Semantics), effectiveDecay(opt.Decay)
 	if len(keywords) == 0 {
 		return nil, ErrNoKeywords
 	}
 	plan, err := ix.planFor(keywords, k, opt)
 	if err != nil {
 		return nil, err
-	}
-	decay := opt.Decay
-	if decay == 0 {
-		decay = score.DefaultDecay
 	}
 	s := ix.view()
 	ex := &Explanation{Keywords: keywords, Semantics: opt.Semantics, K: k, Trace: obs.NewTrace(), Plan: plan}
@@ -104,7 +101,7 @@ func (ix *Index) Explain(query string, k int, opt SearchOptions) (*Explanation, 
 		ex.Trace.End(osp)
 		jsp := ex.Trace.Stage(obs.StageJoin)
 		rs, st, _ := core.EvaluateCtx(context.Background(), lists,
-			core.Options{Semantics: coreSem(opt.Semantics), Decay: decay, Trace: ex.Trace})
+			core.Options{Semantics: sem, Decay: decay, Trace: ex.Trace})
 		ex.Trace.End(jsp)
 		ex.Trace.End(root)
 		ex.Elapsed = time.Since(start)
@@ -125,7 +122,7 @@ func (ix *Index) Explain(query string, k int, opt SearchOptions) (*Explanation, 
 	ex.Trace.End(osp)
 	jsp := ex.Trace.Stage(obs.StageJoin)
 	rs, st, _ := topk.EvaluateCtx(context.Background(), lists,
-		topk.Options{Semantics: coreSem(opt.Semantics), Decay: decay, K: k, Trace: ex.Trace})
+		topk.Options{Semantics: sem, Decay: decay, K: k, Trace: ex.Trace})
 	ex.Trace.End(jsp)
 	ex.Trace.End(root)
 	ex.Elapsed = time.Since(start)

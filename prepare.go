@@ -16,15 +16,30 @@ import (
 // cache also serves ad-hoc Search/TopK/TopKStream calls with AlgoAuto;
 // Prepare just shaves the per-call tokenization off on top.
 
-// PreparedQuery is a tokenized, validated query bound to its Index. It
-// is immutable and safe for concurrent use by any number of goroutines;
-// each execution pins the then-current snapshot, so a prepared query
-// observes mutations exactly like an ad-hoc one.
+// PreparedQuery is a tokenized, validated query bound to its Index or
+// Sharded. It is immutable and safe for concurrent use by any number of
+// goroutines; each execution pins the then-current snapshot, so a prepared
+// query observes mutations exactly like an ad-hoc one.
 type PreparedQuery struct {
-	ix       *Index
-	query    string
-	keywords []string
-	opt      SearchOptions
+	run executor // Index.run or Sharded.run
+	// planner is the index Plan consults: the Index itself, or shard 0 of a
+	// Sharded (each shard plans independently against its own statistics).
+	planner *Index
+	req     request // op, k and emit are filled per execution
+}
+
+// ShardedQuery is a prepared query bound to a sharded index.
+type ShardedQuery = PreparedQuery
+
+// prepare validates a request template and binds it to an executor.
+func prepare(run executor, planner *Index, req request) (*PreparedQuery, error) {
+	if len(req.keywords) == 0 {
+		return nil, ErrNoKeywords
+	}
+	if a := req.opt.Algorithm; a != AlgoAuto && !engines.HasAlgo(int(a)) {
+		return nil, fmt.Errorf("xmlsearch: unknown algorithm %v", a)
+	}
+	return &PreparedQuery{run: run, planner: planner, req: req}, nil
 }
 
 // Prepare tokenizes and validates the query under the given options. It
@@ -32,45 +47,42 @@ type PreparedQuery struct {
 // for an unknown Algorithm; a top-K-only algorithm prepares fine and
 // fails only if executed with Search.
 func (ix *Index) Prepare(query string, opt SearchOptions) (*PreparedQuery, error) {
-	keywords := Keywords(query)
-	if len(keywords) == 0 {
-		return nil, ErrNoKeywords
-	}
-	if opt.Algorithm != AlgoAuto && !engines.HasAlgo(int(opt.Algorithm)) {
-		return nil, fmt.Errorf("xmlsearch: unknown algorithm %v", opt.Algorithm)
-	}
-	return &PreparedQuery{ix: ix, query: query, keywords: keywords, opt: opt}, nil
+	return prepare(ix.run, ix, ix.request("", query, 0, opt, nil))
+}
+
+func (pq *PreparedQuery) exec(ctx context.Context, op string, k int, emit func(Result) bool) outcome {
+	req := pq.req
+	req.op, req.k, req.emit = op, k, emit
+	return pq.run(ctx, req)
 }
 
 // Query returns the original query text.
-func (pq *PreparedQuery) Query() string { return pq.query }
+func (pq *PreparedQuery) Query() string { return pq.req.query }
 
 // Keywords returns the resolved keywords (shared slice; do not mutate).
-func (pq *PreparedQuery) Keywords() []string { return pq.keywords }
+func (pq *PreparedQuery) Keywords() []string { return pq.req.keywords }
 
 // Search evaluates the complete ranked result set.
 func (pq *PreparedQuery) Search(ctx context.Context) ([]Result, error) {
-	rs, _, _, err := pq.ix.searchObs(ctx, pq.query, pq.keywords, pq.opt, nil)
-	return rs, err
+	return pq.exec(ctx, opSearch, 0, nil).results()
 }
 
 // TopK returns the k best results in descending score order.
 func (pq *PreparedQuery) TopK(ctx context.Context, k int) ([]Result, error) {
-	rs, _, _, err := pq.ix.topKObs(ctx, pq.query, pq.keywords, k, pq.opt, nil)
-	return rs, err
+	return pq.exec(ctx, opTopK, k, nil).results()
 }
 
 // TopKStream delivers each of the k best results to fn the moment it is
-// proven safe; fn returning false cancels the remaining evaluation.
+// proven safe (on a Sharded: in rank order once the gather completes);
+// fn returning false cancels the remaining evaluation.
 func (pq *PreparedQuery) TopKStream(ctx context.Context, k int, fn func(Result) bool) error {
-	_, _, err := pq.ix.topKStreamObs(ctx, pq.query, pq.keywords, k, pq.opt, fn, nil)
-	return err
+	return pq.exec(ctx, opStream, k, fn).err
 }
 
 // Plan returns the query plan this prepared query would execute with at
 // the given k (0 = complete evaluation) against the current snapshot.
 func (pq *PreparedQuery) Plan(k int) (*QueryPlan, error) {
-	return pq.ix.planFor(pq.keywords, k, pq.opt)
+	return pq.planner.planFor(pq.req.keywords, k, pq.req.opt)
 }
 
 // PlanCost is one engine's cost estimate inside a QueryPlan.

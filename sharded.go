@@ -6,14 +6,12 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/jdewey"
 	"repro/internal/obs"
 	"repro/internal/occur"
-	"repro/internal/qlog"
 	"repro/internal/shard"
 	"repro/internal/xmltree"
 )
@@ -48,11 +46,10 @@ type Sharded struct {
 	// owns; prefix sums give each shard's global child offset.
 	counts []int
 
-	pool    *shard.Pool
-	metrics *obs.Metrics
-	traces  atomic.Pointer[obs.TraceStore]
-	qlog    atomic.Pointer[qlog.Recorder]
-	pinned  atomic.Int64
+	pool *shard.Pool
+	// queryObs is the coordinator's own registry, trace store, flight
+	// recorder and in-flight gauge; the shards keep theirs.
+	queryObs
 }
 
 // NewSharded partitions doc's top-level subtrees into n contiguous,
@@ -155,12 +152,8 @@ func NewSharded(doc *xmltree.Document, n int, opts ...Option) (*Sharded, error) 
 
 // assembleSharded wires the coordinator around ready shard indexes.
 func assembleSharded(shards []*Index, counts []int) *Sharded {
-	sh := &Sharded{
-		shards:  shards,
-		counts:  counts,
-		pool:    shard.NewPool(runtime.GOMAXPROCS(0)),
-		metrics: obs.NewMetrics(),
-	}
+	sh := &Sharded{shards: shards, counts: counts, pool: shard.NewPool(runtime.GOMAXPROCS(0))}
+	sh.metrics = obs.NewMetrics()
 	sh.metrics.SetGaugeSource(func() obs.Gauges {
 		g := obs.Gauges{Shards: int64(len(sh.shards)), PinnedQueries: sh.pinned.Load()}
 		for _, ix := range sh.shards {
@@ -345,46 +338,13 @@ func (sh *Sharded) Health() Health {
 	return h
 }
 
-// Metrics returns the coordinator's live metrics registry: scatter-
-// gather counters, coordinator-level query metrics, and gauges
-// aggregated across shards (plus per-shard gauge rows). Per-shard engine
-// metrics accumulate in each shard's own registry.
-func (sh *Sharded) Metrics() *obs.Metrics { return sh.metrics }
-
-// Stats snapshots the coordinator metrics registry.
-func (sh *Sharded) Stats() obs.Snapshot { return sh.metrics.Snapshot() }
-
 // SetSlowQueryThreshold arms the slow-query log, coordinator and shards.
 func (sh *Sharded) SetSlowQueryThreshold(d time.Duration) {
-	sh.metrics.SetSlowQueryThreshold(d)
+	sh.queryObs.SetSlowQueryThreshold(d)
 	for _, ix := range sh.shards {
 		ix.SetSlowQueryThreshold(d)
 	}
 }
-
-// SlowQueries returns the coordinator's retained slow queries.
-func (sh *Sharded) SlowQueries() []obs.SlowQuery { return sh.metrics.SlowQueries() }
-
-// SetTraceStore installs the tail-sampling trace store on the
-// coordinator (nil disables capture).
-func (sh *Sharded) SetTraceStore(ts *obs.TraceStore) { sh.traces.Store(ts) }
-
-// TraceStore returns the installed trace store, or nil.
-func (sh *Sharded) TraceStore() *obs.TraceStore { return sh.traces.Load() }
-
-// SetQueryLog installs the query flight recorder on the coordinator:
-// one record per scatter-gather query, carrying the merged fingerprint
-// and the shard fan-out count. Shards do not record individually, so a
-// captured workload is shard-count-invariant.
-func (sh *Sharded) SetQueryLog(r *qlog.Recorder) {
-	if r != nil {
-		r.SetObs(&sh.metrics.QLog)
-	}
-	sh.qlog.Store(r)
-}
-
-// QueryLog returns the installed recorder, or nil.
-func (sh *Sharded) QueryLog() *qlog.Recorder { return sh.qlog.Load() }
 
 // SetPlanCacheCapacity rebounds every shard's plan cache.
 func (sh *Sharded) SetPlanCacheCapacity(n int) {
@@ -392,7 +352,3 @@ func (sh *Sharded) SetPlanCacheCapacity(n int) {
 		ix.SetPlanCacheCapacity(n)
 	}
 }
-
-// PublishExpvar publishes the coordinator metrics under the given
-// expvar name.
-func (sh *Sharded) PublishExpvar(name string) { sh.metrics.PublishExpvar(name) }

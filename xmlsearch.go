@@ -74,10 +74,8 @@ import (
 	"repro/internal/jdewey"
 	"repro/internal/obs"
 	"repro/internal/occur"
-	"repro/internal/qlog"
 	"repro/internal/rdil"
 	"repro/internal/score"
-	"repro/internal/stack"
 	"repro/internal/tokenize"
 	"repro/internal/wal"
 	"repro/internal/xmltree"
@@ -217,26 +215,22 @@ type Index struct {
 	// take it): one writer at a time clones, applies, and publishes.
 	writeMu sync.Mutex
 
-	cfg     config
-	metrics *obs.Metrics
+	cfg config
+	// queryObs holds the metrics registry, trace store, flight recorder
+	// and in-flight gauge, and is where every query finishes (stats.go).
+	queryObs
+	// dropRoot marks the document root as synthetic (a Corpus's graft
+	// point): every request built against this index drops level-1 results.
+	dropRoot bool
 	// cache is the decoded-list cache shared by every snapshot of this
 	// index (see colstore.Cache for why sharing across snapshots is safe).
 	cache *colstore.Cache
 	// plans caches cost-based query plans keyed on (keywords, semantics,
 	// k-bucket, snapshot generation); mutations invalidate by generation.
 	plans *exec.PlanCache
-	// traces, when set, tail-samples completed traced queries (see
-	// SetTraceStore); nil disables capture with one pointer check.
-	traces atomic.Pointer[obs.TraceStore]
-	// qlog, when set, records every finished query into the flight
-	// recorder (see SetQueryLog); nil disables capture with one pointer
-	// check.
-	qlog atomic.Pointer[qlog.Recorder]
 	// gen is the generation of the published snapshot: 1 at construction,
-	// +1 per published mutation. pinned counts in-flight queries holding a
-	// snapshot pin. Both feed the obs gauges.
-	gen    atomic.Int64
-	pinned atomic.Int64
+	// +1 per published mutation; it feeds the obs gauges.
+	gen atomic.Int64
 
 	// epochs stamps materialized (delta-free) snapshots; every fast-path
 	// successor inherits its base's epoch, so the compactor can tell "this
@@ -303,7 +297,8 @@ type snapshot struct {
 // are counted from the first query on. Disk-backed stores additionally get
 // the shared size-bounded decode cache.
 func newIndex(doc *xmltree.Document, m *occur.Map, store *colstore.Store, enc *jdewey.Encoding, cfg config) *Index {
-	ix := &Index{cfg: cfg, metrics: obs.NewMetrics(), cache: colstore.NewCache(0), plans: exec.NewPlanCache(0)}
+	ix := &Index{cfg: cfg, cache: colstore.NewCache(0), plans: exec.NewPlanCache(0)}
+	ix.metrics = obs.NewMetrics()
 	ix.cache.SetObs(&ix.metrics.Store)
 	ix.plans.SetObs(&ix.metrics.Planner)
 	store.SetObs(&ix.metrics.Store)
@@ -882,25 +877,4 @@ func (s *snapshot) ensureInv() {
 		s.inv = invindex.Build(s.occMap())
 		s.rdilIdx = rdil.NewIndex(s.inv)
 	})
-}
-
-func coreSem(s Semantics) core.Semantics {
-	if s == SLCA {
-		return core.SLCA
-	}
-	return core.ELCA
-}
-
-func stackSem(s Semantics) stack.Semantics {
-	if s == SLCA {
-		return stack.SLCA
-	}
-	return stack.ELCA
-}
-
-func rdilSem(s Semantics) rdil.Semantics {
-	if s == SLCA {
-		return rdil.SLCA
-	}
-	return rdil.ELCA
 }
