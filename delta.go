@@ -17,35 +17,31 @@ import (
 // delta holds the floating nodes (attached to base parents only through a
 // copy-on-write children map, so the base tree is never mutated), the
 // fully merged occurrence lists of the dirty terms, and the replay script
-// that rebuilds the same logical state from the base (the compactor and
-// the slow path fold it back into a materialized snapshot). Queries read
+// — the inserts themselves, as Mutations — that rebuilds the same logical
+// state from the base (materializeOf hands it to the slow loop of
+// update.go whenever the compactor, a save or a slow-path commit needs a
+// materialized snapshot). Queries read
 // base ⊕ delta through the snapshot accessors below plus the column-store
 // overlay (colstore.NewOverlay), so every engine works unchanged.
 //
-// Only appending leaf inserts ride the fast path: a removal, an insert at
-// a non-tail position, or an insert whose JDewey number cannot be minted
-// above every existing number at its level (the append-order eligibility
-// check) falls back to the materializing slow path. The delta therefore
+// Only appending leaf inserts ride the fast path (fastInsert, called only
+// by update.go's fastChain): a removal, an insert at a non-tail position,
+// or an insert whose JDewey number cannot be minted above every existing
+// number at its level (the append-order eligibility check) falls back to
+// the materializing slow path. The delta therefore
 // never carries tombstones, and a merged list is always "base list plus
 // appended occurrences, rescored".
-
-// deltaOp is one fast-path insert, recorded as its replayable arguments:
-// the parent's Dewey identifier is stable under append-only growth, so
-// replaying the ops in order against the base snapshot reproduces the
-// delta view exactly (modulo freshly assigned JDewey numbers).
-type deltaOp struct {
-	parent dewey.ID
-	pos    int
-	tag    string
-	text   string
-}
 
 // deltaSeg is the immutable delta of one snapshot. Successive fast-path
 // publishes build successor segments copy-on-write; a pinned reader keeps
 // its segment unchanged forever.
 type deltaSeg struct {
-	// ops replays the segment against the base snapshot, in order.
-	ops []deltaOp
+	// ops replays the segment against the base snapshot, in order: the
+	// fast-path inserts as they were submitted. A parent's Dewey identifier
+	// is stable under append-only growth, so running them through the slow
+	// loop reproduces the delta view exactly (modulo freshly assigned
+	// JDewey numbers).
+	ops []Mutation
 	// added indexes the floating nodes: level → minted JDewey number → node.
 	added map[int]map[uint32]*xmltree.Node
 	// kids overrides the visible child list of parents that gained floating
@@ -71,7 +67,7 @@ type deltaSeg struct {
 // shared; the apply step re-copies exactly the entries it changes.
 func (d *deltaSeg) successor() *deltaSeg {
 	nd := &deltaSeg{
-		ops:         append([]deltaOp(nil), d.ops...),
+		ops:         append([]Mutation(nil), d.ops...),
 		added:       make(map[int]map[uint32]*xmltree.Node, len(d.added)+1),
 		kids:        make(map[*xmltree.Node][]*xmltree.Node, len(d.kids)+1),
 		terms:       make(map[string][]occur.Occ, len(d.terms)+1),
@@ -219,22 +215,19 @@ func (s *snapshot) topParentJD(level int) uint32 {
 	return top.Parent.JD
 }
 
-// fastInsert attempts the delta fast path for inserting <tag>text</tag>
-// under parent at position pos against cur. It returns the successor
-// snapshot and true, or (nil, false) when the operation must take the
-// materializing slow path: ElemRank indexes (a structural mutation moves
-// every rank), non-append positions, or an append whose JDewey number
-// cannot legally go above its level's maximum.
-func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, pos int, tag, text string) (*snapshot, bool) {
-	if ix.cfg.elemRank {
-		return nil, false
-	}
-	if pos != len(cur.visibleChildren(parent)) {
-		return nil, false
+// fastInsert attempts the delta fast path for the validated insert m
+// under parent against cur. It returns the successor snapshot, the new
+// floating node and the number of lists it rebuilt, or a nil snapshot when
+// the operation must take the materializing slow path: ElemRank indexes (a
+// structural mutation moves every rank), non-append positions, or an
+// append whose JDewey number cannot legally go above its level's maximum.
+func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*snapshot, *xmltree.Node, int) {
+	if ix.cfg.elemRank || m.Pos != len(cur.visibleChildren(parent)) {
+		return nil, nil, 0
 	}
 	level := parent.Level + 1
 	if parent.JD < cur.topParentJD(level) {
-		return nil, false
+		return nil, nil, 0
 	}
 	// Mint the new number above everything assigned or reserved at the
 	// level, in base numbering and delta alike.
@@ -257,19 +250,19 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, pos int, tag, t
 	}
 	jd++
 	if jd == 0 { // uint32 wraparound: the level is out of numbers
-		return nil, false
+		return nil, nil, 0
 	}
 
 	child := &xmltree.Node{
-		Tag:    tag,
-		Text:   text,
+		Tag:    m.Tag,
+		Text:   m.Text,
 		Parent: parent,
-		Dewey:  append(parent.Dewey.Clone(), uint32(pos+1)),
+		Dewey:  append(parent.Dewey.Clone(), uint32(m.Pos+1)),
 		JD:     jd,
 		Level:  level,
 		Ord:    cur.doc.Len() + d.addedCount, // synthetic, past every base ordinal
 	}
-	d.ops = append(d.ops, deltaOp{parent: parent.Dewey.Clone(), pos: pos, tag: tag, text: text})
+	d.ops = append(d.ops, m)
 	lm := make(map[uint32]*xmltree.Node, len(d.added[level])+1)
 	for k, v := range d.added[level] {
 		lm[k] = v
@@ -288,7 +281,8 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, pos int, tag, t
 	// Merge the new occurrence into each dirty term's full list and rescore
 	// it against the new document frequency (the corpus constant N stays
 	// frozen, exactly as the slow path does).
-	for term, tf := range tokenize.TermCounts(text) {
+	counts := tokenize.TermCounts(m.Text)
+	for term, tf := range counts {
 		prev, dirty := d.terms[term]
 		if !dirty {
 			base := cur.m.Terms[term]
@@ -316,15 +310,16 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, pos int, tag, t
 		enc:   cur.enc,
 		delta: d,
 		epoch: cur.epoch,
-	}, true
+	}, child, len(counts)
 }
 
 // materializeOf folds base ⊕ delta into a delta-free snapshot the old
-// clone-everything way: clone the base parts, replay the delta's ops
-// through the real JDewey maintenance path, and rebuild every dirty list.
-// It reads only the immutable cur, so callers may run it off the write
-// lock (the background compactor does); the result is private until
-// published. For a delta-free cur it is exactly the old clone().
+// clone-everything way: clone the base parts, then hand the delta's ops to
+// the slow loop, which replays them through the real JDewey maintenance
+// path and rebuilds every dirty list. It reads only the immutable cur, so
+// callers may run it off the write lock (the background compactor does);
+// the result is private until published. For a delta-free cur it is
+// exactly the old clone().
 func (ix *Index) materializeOf(cur *snapshot) *snapshot {
 	doc := cur.doc.Clone()
 	next := &snapshot{
@@ -333,22 +328,12 @@ func (ix *Index) materializeOf(cur *snapshot) *snapshot {
 		store: cur.baseStore().Clone(),
 		enc:   cur.enc.CloneFor(doc),
 	}
-	if cur.delta == nil {
-		return next
-	}
-	dirty := map[string]bool{}
-	for _, op := range cur.delta.ops {
-		parent := next.doc.NodeByDewey(op.parent)
-		child := &xmltree.Node{Tag: op.tag, Text: op.text}
-		for _, term := range tokenize.Tokens(op.text) {
-			dirty[term] = true
-		}
-		// Append-only replay: the recorded Dewey paths resolve unchanged,
-		// and Insert cannot fail for a leaf.
-		if moved, err := next.enc.Insert(parent, child, op.pos); err == nil && moved != nil {
-			collectTerms(moved, dirty)
+	if cur.delta != nil {
+		// Every op was validated when it was recorded and its Dewey path
+		// resolves unchanged under append-only growth: only a bug fails here.
+		if _, _, _, err := ix.applySlow(next, cur.delta.ops); err != nil {
+			panic("xmlsearch: delta replay: " + err.Error())
 		}
 	}
-	ix.applyDirty(next, dirty)
 	return next
 }

@@ -62,144 +62,20 @@ func (l *TKList) DecodedSize() int64 {
 	return decoded
 }
 
-// ListObs is List with per-query trace attribution: the open (and, on
-// first disk access, the decode with block/byte accounting) is recorded
-// on tr, and quarantine hits surface as trace events. The store-wide
-// counters installed with SetObs are updated on either entry point.
+// ListObs is List with per-query trace attribution: a one-term openMany,
+// so the open (and, on first disk access, the decode with block/byte
+// accounting) is recorded on tr, quarantine hits surface as trace events,
+// and the store-wide counters installed with SetObs are updated exactly as
+// for a multi-list open.
 func (s *Store) ListObs(term string, tr *obs.Trace) *List {
-	if fb := s.overlayMiss(term, false); fb != nil {
-		return fb.ListObs(term, tr)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, ok := s.lists[term]; ok {
-		s.obsC.RecordOpen()
-		if tr != nil {
-			var enc int64
-			if e, onDisk := s.lex[term]; onDisk {
-				enc = int64(e.colLen)
-			}
-			tr.ListOpen(term, l.NumRows, l.MaxLen, enc)
-		}
-		return l
-	}
-	if qerr, bad := s.quarantined[term]; bad {
-		if tr != nil {
-			tr.Quarantine(term, qerr.Error())
-		}
-		return nil
-	}
-	e, ok := s.lex[term]
-	if !ok {
-		return nil
-	}
-	if s.cache != nil {
-		if v, hit := s.cache.get(cacheKey{term: term, tk: false}); hit {
-			l := v.(*List)
-			s.obsC.RecordOpen()
-			if tr != nil {
-				tr.ListOpen(term, l.NumRows, l.MaxLen, int64(e.colLen))
-			}
-			return l
-		}
-	}
-	blob, err := s.colSlice(e)
-	if err != nil {
-		s.quarantine(term, err)
-		if tr != nil {
-			tr.Quarantine(term, err.Error())
-		}
-		return nil
-	}
-	l, _, err := DecodeList(term, blob)
-	if err != nil {
-		s.quarantine(term, err)
-		if tr != nil {
-			tr.Quarantine(term, err.Error())
-		}
-		return nil
-	}
-	blocks, decoded, sparse := listDecodeStats(l)
-	if s.cache != nil {
-		s.cache.put(cacheKey{term: term, tk: false}, l, decoded)
-	} else {
-		s.lists[term] = l
-	}
-	s.obsC.RecordOpen()
-	s.obsC.RecordDecode(blocks, int64(len(blob)), decoded)
-	s.obsC.RecordSparseSkips(sparse)
-	if tr != nil {
-		tr.ListOpen(term, l.NumRows, l.MaxLen, int64(e.colLen))
-		tr.Decode(term, blocks, int64(len(blob)), decoded)
-	}
+	vals, _ := s.openMany([]string{term}, false, tr, nil)
+	l, _ := vals[0].(*List)
 	return l
 }
 
 // TopKListObs is TopKList with per-query trace attribution (see ListObs).
 func (s *Store) TopKListObs(term string, tr *obs.Trace) *TKList {
-	if fb := s.overlayMiss(term, true); fb != nil {
-		return fb.TopKListObs(term, tr)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, ok := s.tklists[term]; ok {
-		s.obsC.RecordOpen()
-		if tr != nil {
-			var enc int64
-			if e, onDisk := s.lex[term]; onDisk {
-				enc = int64(e.tkLen)
-			}
-			tr.ListOpen(term, l.NumRows(), l.MaxLen, enc)
-		}
-		return l
-	}
-	if qerr, bad := s.quarantined[term]; bad {
-		if tr != nil {
-			tr.Quarantine(term, qerr.Error())
-		}
-		return nil
-	}
-	e, ok := s.lex[term]
-	if !ok {
-		return nil
-	}
-	if s.cache != nil {
-		if v, hit := s.cache.get(cacheKey{term: term, tk: true}); hit {
-			l := v.(*TKList)
-			s.obsC.RecordOpen()
-			if tr != nil {
-				tr.ListOpen(term, l.NumRows(), l.MaxLen, int64(e.tkLen))
-			}
-			return l
-		}
-	}
-	blob, err := s.tkSlice(e)
-	if err != nil {
-		s.quarantine(term, err)
-		if tr != nil {
-			tr.Quarantine(term, err.Error())
-		}
-		return nil
-	}
-	l, _, err := DecodeTKList(term, blob)
-	if err != nil {
-		s.quarantine(term, err)
-		if tr != nil {
-			tr.Quarantine(term, err.Error())
-		}
-		return nil
-	}
-	blocks, decoded := tkDecodeStats(l)
-	if s.cache != nil {
-		s.cache.put(cacheKey{term: term, tk: true}, l, decoded)
-	} else {
-		s.tklists[term] = l
-	}
-	s.obsC.RecordOpen()
-	s.obsC.RecordDecode(blocks, int64(len(blob)), decoded)
-	if tr != nil {
-		tr.ListOpen(term, l.NumRows(), l.MaxLen, int64(e.tkLen))
-		tr.Decode(term, blocks, int64(len(blob)), decoded)
-	}
+	vals, _ := s.openMany([]string{term}, true, tr, nil)
+	l, _ := vals[0].(*TKList)
 	return l
 }

@@ -541,38 +541,47 @@ func (m *Metrics) SetGaugeSource(fn func() Gauges) {
 // lock-free; one writer publishes at a time, but readers snapshot
 // concurrently.
 type WriterMetrics struct {
-	Inserts    Counter // InsertElement calls that published a snapshot
-	Removes    Counter // RemoveElement calls that published a snapshot
-	Errors     Counter // mutations rejected before publication
-	DirtyTerms Counter // inverted lists rebuilt across all mutations
-	Renumbered Counter // gap-exhausted subtree renumberings (Section III-A fallback)
-	Snapshots  Counter // snapshots published (== successful mutations)
+	Inserts    Counter // insert operations published
+	Removes    Counter // removal operations published
+	Errors     Counter // operations of commits rejected before publication
+	DirtyTerms Counter // inverted lists rebuilt across all commits
+	Renumbered Counter // commits with a gap-exhausted subtree renumbering (Section III-A fallback)
+	Snapshots  Counter // commits published (one per mutation call, however many operations)
 	Latency    Histogram
 }
 
-// RecordMutation records one mutation attempt: its kind (insert or
-// remove), the number of inverted lists rebuilt, whether the JDewey gap
-// fallback renumbered a subtree, and the end-to-end latency including
-// snapshot publication. Failed mutations count only as errors. Nil-safe.
-func (w *WriterMetrics) RecordMutation(insert bool, dirty int, renumbered bool, elapsed time.Duration, err error) {
+// RecordCommit records one commit attempt — a single mutation or a whole
+// batch: how many inserts and removals it carried, the number of inverted
+// lists rebuilt, whether the JDewey gap fallback renumbered a subtree, and
+// the end-to-end latency including snapshot publication. A published
+// commit is one snapshot and one latency observation however many
+// operations it carried; a failed commit counts its operations as errors
+// and nothing else. Nil-safe.
+func (w *WriterMetrics) RecordCommit(inserts, removes, dirty int, renumbered bool, elapsed time.Duration, err error) {
 	if w == nil {
 		return
 	}
 	if err != nil {
-		w.Errors.Inc()
+		w.Errors.Add(int64(inserts + removes))
 		return
 	}
-	if insert {
-		w.Inserts.Inc()
-	} else {
-		w.Removes.Inc()
-	}
+	w.Inserts.Add(int64(inserts))
+	w.Removes.Add(int64(removes))
 	w.DirtyTerms.Add(int64(dirty))
 	if renumbered {
 		w.Renumbered.Inc()
 	}
 	w.Snapshots.Inc()
 	w.Latency.Observe(elapsed)
+}
+
+// RecordMutation is RecordCommit for a single operation.
+func (w *WriterMetrics) RecordMutation(insert bool, dirty int, renumbered bool, elapsed time.Duration, err error) {
+	if insert {
+		w.RecordCommit(1, 0, dirty, renumbered, elapsed, err)
+	} else {
+		w.RecordCommit(0, 1, dirty, renumbered, elapsed, err)
+	}
 }
 
 // WriterSnapshot is a point-in-time copy of WriterMetrics.

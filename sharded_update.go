@@ -9,13 +9,15 @@ import (
 
 // Mutation routing. A global Dewey identifier "1.j.rest" belongs to the
 // shard owning top-level child j; the shard sees the local identifier
-// "1.(j-off).rest" where off is the shard's child offset. Mutations
-// inside a subtree only read the routing table (RLock) and then run
-// under the owning shard's writer lock — writers on distinct shards
-// proceed concurrently. Mutations that change the top-level child count
-// (inserting under the root, removing a whole top-level subtree) take
-// the routing table's write lock, so the offsets every concurrent query
-// remaps with stay consistent with the counts.
+// "1.(j-off).rest" where off is the shard's child offset. ApplyBatch is
+// the one routed path (DESIGN.md §18); InsertElement and RemoveElement
+// are batches of one. Mutations inside a subtree hold the routing table's
+// read lock across the owning shard's commit — writers on distinct shards
+// proceed concurrently under the shared read lock, each serialized only
+// by its shard's writer lock. Mutations that change the top-level child
+// count (inserting under the root, removing a whole top-level subtree)
+// take the routing table's write lock, so the offsets every concurrent
+// query remaps with stay consistent with the counts.
 //
 // Consistency note: a query scatter reads the routing offsets once and
 // each shard pins its own snapshot; a top-level structural mutation
@@ -48,6 +50,17 @@ func localID(id dewey.ID, off int) dewey.ID {
 	return l
 }
 
+// globalID shifts a shard-local Dewey identifier (as a shard returns it)
+// back into global coordinates.
+func globalID(local string, off int) (string, error) {
+	id, err := dewey.Parse(local)
+	if err != nil {
+		return "", err
+	}
+	id[1] += uint32(off)
+	return id.String(), nil
+}
+
 // InsertElement adds a new leaf element under the element identified by
 // its global Dewey identifier, routing to the owning shard's writer (see
 // Index.InsertElement for the mutation contract). Inserting directly
@@ -56,60 +69,7 @@ func localID(id dewey.ID, off int) dewey.ID {
 // shard), and the new subtree's fresh Dewey identifiers are assigned by
 // that shard.
 func (sh *Sharded) InsertElement(parentDewey string, pos int, tag, text string) (newDewey string, err error) {
-	start := time.Now()
-	defer func() {
-		sh.metrics.Writer.RecordMutation(true, 0, false, time.Since(start), err)
-	}()
-	id, err := dewey.Parse(parentDewey)
-	if err != nil {
-		return "", fmt.Errorf("xmlsearch: bad parent id: %w", err)
-	}
-	if id[0] != 1 {
-		return "", fmt.Errorf("xmlsearch: no element at %s", parentDewey)
-	}
-	if len(id) == 1 {
-		// New top-level subtree under the (virtual) global root.
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		offs, total := sh.offsetsLocked()
-		if pos < 0 || pos > total {
-			return "", fmt.Errorf("xmlsearch: position %d out of range [0,%d]", pos, total)
-		}
-		si := 0
-		for i := range sh.counts {
-			si = i
-			if pos <= offs[i]+sh.counts[i] {
-				break
-			}
-		}
-		local, lerr := sh.shards[si].InsertElement("1", pos-offs[si], tag, text)
-		if lerr != nil {
-			return "", lerr
-		}
-		sh.counts[si]++
-		lid, lerr := dewey.Parse(local)
-		if lerr != nil {
-			return "", lerr
-		}
-		lid[1] += uint32(offs[si])
-		return lid.String(), nil
-	}
-	sh.mu.RLock()
-	si, off, ok := sh.routeLocked(int(id[1]))
-	sh.mu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("xmlsearch: no element at %s", parentDewey)
-	}
-	local, err := sh.shards[si].InsertElement(localID(id, off).String(), pos, tag, text)
-	if err != nil {
-		return "", err
-	}
-	lid, err := dewey.Parse(local)
-	if err != nil {
-		return "", err
-	}
-	lid[1] += uint32(off)
-	return lid.String(), nil
+	return firstID(sh.ApplyBatch([]Mutation{{ID: parentDewey, Pos: pos, Tag: tag, Text: text}}))
 }
 
 // RemoveElement detaches the element (and subtree) identified by its
@@ -117,141 +77,161 @@ func (sh *Sharded) InsertElement(parentDewey string, pos int, tag, text string) 
 // root cannot be removed; removing a whole top-level subtree is allowed
 // down to a shard's last one (the shard then stays up, empty, and keeps
 // accepting insertions).
-func (sh *Sharded) RemoveElement(deweyStr string) (err error) {
-	start := time.Now()
-	defer func() {
-		sh.metrics.Writer.RecordMutation(false, 0, false, time.Since(start), err)
-	}()
-	id, err := dewey.Parse(deweyStr)
-	if err != nil {
-		return fmt.Errorf("xmlsearch: bad id: %w", err)
-	}
-	if len(id) == 1 {
-		if id[0] == 1 {
-			return fmt.Errorf("xmlsearch: cannot remove the document root")
-		}
-		return fmt.Errorf("xmlsearch: no element at %s", deweyStr)
-	}
-	if id[0] != 1 {
-		return fmt.Errorf("xmlsearch: no element at %s", deweyStr)
-	}
-	if len(id) == 2 {
-		// Removing a whole top-level subtree changes the routing table.
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		si, off, ok := sh.routeLocked(int(id[1]))
-		if !ok {
-			return fmt.Errorf("xmlsearch: no element at %s", deweyStr)
-		}
-		if err := sh.shards[si].RemoveElement(localID(id, off).String()); err != nil {
-			return err
-		}
-		sh.counts[si]--
-		return nil
-	}
-	sh.mu.RLock()
-	si, off, ok := sh.routeLocked(int(id[1]))
-	sh.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("xmlsearch: no element at %s", deweyStr)
-	}
-	return sh.shards[si].RemoveElement(localID(id, off).String())
+func (sh *Sharded) RemoveElement(deweyStr string) error {
+	_, err := sh.ApplyBatch([]Mutation{{Remove: true, ID: deweyStr}})
+	return err
 }
 
-// ApplyBatch applies the mutations in order across the shards. Maximal
-// runs of subtree-interior operations are grouped per owning shard and
-// applied through each shard's ApplyBatch — one atomic publish, one WAL
-// group commit per shard per run — while operations that change the
-// top-level routing (inserting under the root, removing a whole top-level
-// subtree) are applied singly through the routed paths. Atomicity is per
-// shard per run, not global: on error, earlier runs and other shards'
-// completed groups stay applied. The returned slice carries each insert's
-// new global Dewey identifier ("" for removals).
-func (sh *Sharded) ApplyBatch(muts []Mutation) ([]string, error) {
+// ApplyBatch applies the mutations in order across the shards; it is the
+// one routed write path (the single-operation methods are batches of
+// one). Maximal runs of subtree-interior operations are grouped per owning
+// shard and committed through each shard's ApplyBatch — one atomic
+// publish, one WAL group commit per shard per run — while operations that
+// change the top-level routing (inserting under the root, removing a whole
+// top-level subtree) are committed singly under the routing write lock.
+// Atomicity is per shard per run, not global: on error, earlier runs and
+// other shards' completed groups stay applied. The returned slice carries
+// each insert's new global Dewey identifier ("" for removals). The
+// coordinator books the call once: a success as one commit of all its
+// operations, a failure as the operations it left unapplied.
+func (sh *Sharded) ApplyBatch(muts []Mutation) (ids []string, err error) {
 	if len(muts) == 0 {
 		return nil, nil
 	}
-	ids := make([]string, len(muts))
-	i := 0
-	for i < len(muts) {
-		m := muts[i]
-		id, perr := dewey.Parse(m.ID)
-		if perr != nil {
-			if m.Remove {
-				return nil, fmt.Errorf("xmlsearch: bad id: %w", perr)
-			}
-			return nil, fmt.Errorf("xmlsearch: bad parent id: %w", perr)
+	start := time.Now()
+	var applied []Mutation // committed so far
+	defer func() {
+		ins, rem := countOps(muts)
+		if err != nil {
+			okIns, okRem := countOps(applied)
+			ins, rem = ins-okIns, rem-okRem
 		}
-		if id[0] != 1 || len(id) == 1 || (m.Remove && len(id) == 2) {
-			// Root-level (or unroutable) operation: the routed single-op
-			// paths handle routing-table updates and error wording.
-			var err error
-			if m.Remove {
-				err = sh.RemoveElement(m.ID)
-			} else {
-				ids[i], err = sh.InsertElement(m.ID, m.Pos, m.Tag, m.Text)
-			}
-			if err != nil {
-				return nil, err
-			}
-			i++
-			continue
+		sh.metrics.Writer.RecordCommit(ins, rem, 0, false, time.Since(start), err)
+	}()
+	ids = make([]string, len(muts))
+	for i := 0; i < len(muts); {
+		id, top, err := routeClass(muts[i])
+		if err != nil {
+			return nil, err
 		}
-		// Maximal run of interior operations starting at i: group per
-		// owning shard, preserving order within each shard.
-		type loc struct {
-			mi  int
-			off int
-			m   Mutation
+		var n int
+		var done []Mutation
+		if !top {
+			n, done, err = sh.applyInteriorRun(muts[i:], ids[i:])
+		} else if ids[i], err = sh.applyTopLevel(muts[i], id); err == nil {
+			n, done = 1, muts[i:i+1]
 		}
-		groups := map[int][]loc{}
-		sh.mu.RLock()
-		j := i
-		for ; j < len(muts); j++ {
-			mm := muts[j]
-			mid, jerr := dewey.Parse(mm.ID)
-			if jerr != nil || mid[0] != 1 || len(mid) == 1 || (mm.Remove && len(mid) == 2) {
-				break // the next loop turn deals with it
-			}
-			si, off, ok := sh.routeLocked(int(mid[1]))
-			if !ok {
-				sh.mu.RUnlock()
-				return nil, fmt.Errorf("xmlsearch: no element at %s", mm.ID)
-			}
-			lm := mm
-			lm.ID = localID(mid, off).String()
-			groups[si] = append(groups[si], loc{mi: j, off: off, m: lm})
+		applied = append(applied, done...)
+		if err != nil {
+			return nil, err
 		}
-		for si := 0; si < len(sh.shards); si++ {
-			items := groups[si]
-			if len(items) == 0 {
-				continue
-			}
-			batch := make([]Mutation, len(items))
-			for k, it := range items {
-				batch[k] = it.m
-			}
-			localIDs, err := sh.shards[si].ApplyBatch(batch)
-			if err != nil {
-				sh.mu.RUnlock()
-				return nil, err
-			}
-			for k, it := range items {
-				sh.metrics.Writer.RecordMutation(!it.m.Remove, 0, false, 0, nil)
-				if it.m.Remove {
-					continue
-				}
-				lid, perr := dewey.Parse(localIDs[k])
-				if perr != nil {
-					sh.mu.RUnlock()
-					return nil, perr
-				}
-				lid[1] += uint32(it.off)
-				ids[it.mi] = lid.String()
-			}
-		}
-		sh.mu.RUnlock()
-		i = j
+		i += n
 	}
 	return ids, nil
+}
+
+// routeClass parses m's global identifier and reports whether m is a
+// top-level operation: one that changes the top-level child count
+// (inserting under the root, removing a whole top-level subtree) or that
+// addresses nothing routable, which the same path refuses.
+func routeClass(m Mutation) (id dewey.ID, top bool, err error) {
+	if id, err = m.parseID(); err != nil {
+		return nil, false, err
+	}
+	return id, id[0] != 1 || len(id) == 1 || (m.Remove && len(id) == 2), nil
+}
+
+// applyTopLevel commits one top-level operation on its owning shard under
+// the routing write lock and updates the shard's child count.
+func (sh *Sharded) applyTopLevel(m Mutation, id dewey.ID) (string, error) {
+	switch {
+	case id[0] != 1:
+		return "", fmt.Errorf("xmlsearch: no element at %s", m.ID)
+	case m.Remove && len(id) == 1:
+		return "", fmt.Errorf("xmlsearch: cannot remove the document root")
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if m.Remove {
+		// Removing a whole top-level subtree changes the routing table.
+		si, off, ok := sh.routeLocked(int(id[1]))
+		if !ok {
+			return "", fmt.Errorf("xmlsearch: no element at %s", m.ID)
+		}
+		m.ID = localID(id, off).String()
+		if _, err := sh.shards[si].ApplyBatch([]Mutation{m}); err != nil {
+			return "", err
+		}
+		sh.counts[si]--
+		return "", nil
+	}
+	// New top-level subtree under the (virtual) global root.
+	offs, total := sh.offsetsLocked()
+	if m.Pos < 0 || m.Pos > total {
+		return "", fmt.Errorf("xmlsearch: position %d out of range [0,%d]", m.Pos, total)
+	}
+	si := 0
+	for i := range sh.counts {
+		si = i
+		if m.Pos <= offs[i]+sh.counts[i] {
+			break
+		}
+	}
+	m.Pos -= offs[si]
+	local, err := sh.shards[si].ApplyBatch([]Mutation{m})
+	if err != nil {
+		return "", err
+	}
+	sh.counts[si]++
+	return globalID(local[0], offs[si])
+}
+
+// applyInteriorRun commits the maximal run of subtree-interior operations
+// at the head of muts: it routes the whole run first (an unroutable
+// operation fails the run with nothing applied), then commits each shard's
+// group in shard order, holding the routing read lock throughout so the
+// offsets it remaps with cannot move. It returns the run's length and the
+// operations it committed — on error, those of the groups that completed —
+// and fills ids positionally.
+func (sh *Sharded) applyInteriorRun(muts []Mutation, ids []string) (n int, done []Mutation, err error) {
+	// One group per shard: its operations in shard-local coordinates, their
+	// positions in muts, and the shard's child offset.
+	type group struct {
+		batch []Mutation
+		at    []int
+		off   int
+	}
+	groups := make([]group, len(sh.shards))
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for ; n < len(muts); n++ {
+		m := muts[n]
+		id, top, err := routeClass(m)
+		if err != nil || top {
+			break // the caller's next turn deals with it
+		}
+		si, off, ok := sh.routeLocked(int(id[1]))
+		if !ok {
+			return 0, nil, fmt.Errorf("xmlsearch: no element at %s", m.ID)
+		}
+		m.ID = localID(id, off).String()
+		g := &groups[si]
+		g.batch, g.at, g.off = append(g.batch, m), append(g.at, n), off
+	}
+	for si, g := range groups {
+		local, err := sh.shards[si].ApplyBatch(g.batch)
+		if err != nil {
+			return 0, done, err
+		}
+		done = append(done, g.batch...)
+		for k, mi := range g.at {
+			if g.batch[k].Remove {
+				continue
+			}
+			if ids[mi], err = globalID(local[k], g.off); err != nil {
+				return 0, done, err
+			}
+		}
+	}
+	return n, done, nil
 }

@@ -23,9 +23,17 @@ import (
 // snapshot instead of cloning the corpus. Removals, non-append inserts,
 // gap-exhausted inserts, and ElemRank indexes take the materializing slow
 // path, which folds the delta and clones the document the classic way.
-// Either way the mutation is appended (and fsynced) to the write-ahead
-// log first when one is attached (see walindex.go), so an acknowledged
-// mutation survives a crash.
+//
+// There is one write path (DESIGN.md §18). applyTo is the only place an
+// operation is validated against a snapshot and applied — fast chain
+// first, otherwise materialize once and run the slow loop — and commit is
+// the only place a writer locks, logs, publishes, triggers compaction and
+// books the writer metrics. InsertElement, RemoveElement and ApplyBatch are
+// wrappers over commit (a single operation is a batch of one); WAL replay,
+// the delta fold and the compactor's rebase reuse applyTo's halves without
+// a commit. Either way the batch is appended (and fsynced) to the
+// write-ahead log before it publishes when one is attached (see
+// walindex.go), so an acknowledged mutation survives a crash.
 //
 // Concurrency: mutations are snapshot-isolated from queries. A writer
 // serializes against other writers (writeMu), builds the successor
@@ -39,8 +47,8 @@ import (
 // terms are always recomputed, on both paths. When the index was built
 // WithElemRank, a structural mutation shifts the link-based rank of
 // potentially every node, so fresh ranks are re-applied to every list
-// (see applyDirty); ApplyBatch amortizes that full re-rank (and the WAL
-// fsync) across a whole batch.
+// (see applyDirty); a batch amortizes that full re-rank (and the WAL
+// fsync) across all its operations.
 
 // InsertElement adds a new leaf element <tag>text</tag> under the element
 // identified by parentDewey (dotted notation, e.g. "1.2"), at child
@@ -54,71 +62,15 @@ import (
 // finish on the pre-mutation snapshot, queries starting after the return
 // see the inserted element.
 func (ix *Index) InsertElement(parentDewey string, pos int, tag, text string) (newDewey string, err error) {
-	start := time.Now()
-	var dirtyN int
-	var renumbered bool
-	defer func() {
-		ix.metrics.Writer.RecordMutation(true, dirtyN, renumbered, time.Since(start), err)
-	}()
-	if tag == "" {
-		return "", fmt.Errorf("xmlsearch: empty element tag")
-	}
-	id, err := dewey.Parse(parentDewey)
-	if err != nil {
-		return "", fmt.Errorf("xmlsearch: bad parent id: %w", err)
-	}
-
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	if ix.closed.Load() {
-		return "", errIndexClosed
-	}
-	cur := ix.view()
-	parent := cur.nodeByDewey(id)
-	if parent == nil {
-		return "", fmt.Errorf("xmlsearch: no element at %s", parentDewey)
-	}
-	if pos < 0 || pos > len(cur.visibleChildren(parent)) {
-		return "", fmt.Errorf("xmlsearch: position %d out of range [0,%d]", pos, len(cur.visibleChildren(parent)))
-	}
-
-	var next *snapshot
-	if fast, ok := ix.fastInsert(cur, parent, pos, tag, text); ok {
-		next = fast
-		dirtyN = len(tokenize.TermCounts(text))
-		newDewey = fast.delta.ops[len(fast.delta.ops)-1].parentChildDewey()
-	} else {
-		next = ix.materializeOf(cur)
-		p := next.doc.NodeByDewey(id) // Dewey paths survive materialization
-		child := &xmltree.Node{Tag: tag, Text: text}
-		dirty := map[string]bool{}
-		for _, term := range tokenize.Tokens(text) {
-			dirty[term] = true
-		}
-		moved, ierr := next.enc.Insert(p, child, pos)
-		if ierr != nil {
-			return "", fmt.Errorf("xmlsearch: %w", ierr)
-		}
-		if moved != nil {
-			renumbered = true
-			collectTerms(moved, dirty)
-		}
-		dirtyN = ix.applyDirty(next, dirty)
-		next.epoch = ix.epochs.Add(1)
-		newDewey = child.Dewey.String()
-	}
-	if err := ix.walAppend([][]byte{encodeInsertRecord(parentDewey, pos, tag, text)}); err != nil {
-		return "", err
-	}
-	ix.publish(next)
-	ix.maybeCompact()
-	return newDewey, nil
+	return firstID(ix.commit([]Mutation{{ID: parentDewey, Pos: pos, Tag: tag, Text: text}}))
 }
 
-// parentChildDewey renders the Dewey identifier the op's child received.
-func (op deltaOp) parentChildDewey() string {
-	id := append(op.parent.Clone(), uint32(op.pos+1))
-	return id.String()
+// firstID unwraps the result of a one-insert commit.
+func firstID(ids []string, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return ids[0], nil
 }
 
 // RemoveElement detaches the element (and its whole subtree) identified by
@@ -126,43 +78,9 @@ func (op deltaOp) parentChildDewey() string {
 // is snapshot-isolated from concurrent queries. Removals always take the
 // materializing slow path — the delta segment is append-only, so it never
 // needs tombstones.
-func (ix *Index) RemoveElement(deweyStr string) (err error) {
-	start := time.Now()
-	var dirtyN int
-	defer func() {
-		ix.metrics.Writer.RecordMutation(false, dirtyN, false, time.Since(start), err)
-	}()
-	id, err := dewey.Parse(deweyStr)
-	if err != nil {
-		return fmt.Errorf("xmlsearch: bad id: %w", err)
-	}
-
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	if ix.closed.Load() {
-		return errIndexClosed
-	}
-	cur := ix.view()
-	victim := cur.nodeByDewey(id)
-	if victim == nil {
-		return fmt.Errorf("xmlsearch: no element at %s", deweyStr)
-	}
-	if victim.Parent == nil {
-		return fmt.Errorf("xmlsearch: cannot remove the document root")
-	}
-	next := ix.materializeOf(cur)
-	n := next.doc.NodeByDewey(id)
-	dirty := map[string]bool{}
-	collectTerms(n, dirty)
-	next.enc.Remove(n)
-	dirtyN = ix.applyDirty(next, dirty)
-	next.epoch = ix.epochs.Add(1)
-	if err := ix.walAppend([][]byte{encodeRemoveRecord(deweyStr)}); err != nil {
-		return err
-	}
-	ix.publish(next)
-	ix.maybeCompact()
-	return nil
+func (ix *Index) RemoveElement(deweyStr string) error {
+	_, err := ix.commit([]Mutation{{Remove: true, ID: deweyStr}})
+	return err
 }
 
 // Mutation is one operation of an ApplyBatch call: an insert of a leaf
@@ -185,121 +103,162 @@ type Mutation struct {
 // slice carries the new Dewey identifier of each insert ("" for
 // removals). Validation is all-or-nothing: the first invalid operation
 // aborts the batch with nothing applied, nothing logged.
-func (ix *Index) ApplyBatch(muts []Mutation) (ids []string, err error) {
+func (ix *Index) ApplyBatch(muts []Mutation) ([]string, error) {
 	if len(muts) == 0 {
 		return nil, nil
 	}
-	start := time.Now()
-	defer func() {
-		per := time.Since(start) / time.Duration(len(muts))
-		for _, m := range muts {
-			ix.metrics.Writer.RecordMutation(!m.Remove, 0, false, per, err)
-		}
-	}()
+	return ix.commit(muts)
+}
 
+// commit is the one write path: under the writer lock it applies muts to
+// the published snapshot off to the side (applyTo), makes them durable
+// (one WAL group commit, fsynced), publishes the successor with one atomic
+// swap, offers the result to the compactor, and books the writer metrics
+// once — failed commits count their operations as errors.
+func (ix *Index) commit(muts []Mutation) (ids []string, err error) {
+	start := time.Now()
+	var dirty int
+	var renumbered bool
+	defer func() {
+		ins, rem := countOps(muts)
+		ix.metrics.Writer.RecordCommit(ins, rem, dirty, renumbered, time.Since(start), err)
+	}()
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
 	if ix.closed.Load() {
 		return nil, errIndexClosed
 	}
-	cur := ix.view()
-	ids = make([]string, len(muts))
-	records := make([][]byte, len(muts))
-
-	// First try the all-fast chain: every op an eligible appending insert,
-	// each building a private successor delta. Any removal or ineligible
-	// insert abandons the chain for the materializing path below.
-	next := cur
-	fastOK := true
-	for i, m := range muts {
-		if m.Remove {
-			fastOK = false
-			break
-		}
-		id, perr := dewey.Parse(m.ID)
-		if perr != nil {
-			return nil, fmt.Errorf("xmlsearch: bad parent id: %w", perr)
-		}
-		if m.Tag == "" {
-			return nil, fmt.Errorf("xmlsearch: empty element tag")
-		}
-		parent := next.nodeByDewey(id)
-		if parent == nil {
-			return nil, fmt.Errorf("xmlsearch: no element at %s", m.ID)
-		}
-		if m.Pos < 0 || m.Pos > len(next.visibleChildren(parent)) {
-			return nil, fmt.Errorf("xmlsearch: position %d out of range [0,%d]", m.Pos, len(next.visibleChildren(parent)))
-		}
-		ns, ok := ix.fastInsert(next, parent, m.Pos, m.Tag, m.Text)
-		if !ok {
-			fastOK = false
-			break
-		}
-		next = ns
-		ids[i] = ns.delta.ops[len(ns.delta.ops)-1].parentChildDewey()
-		records[i] = encodeInsertRecord(m.ID, m.Pos, m.Tag, m.Text)
+	next, ids, dirty, renumbered, err := ix.applyTo(ix.view(), muts)
+	if err != nil {
+		return nil, err
 	}
-
-	if !fastOK {
-		// Materialize once, apply everything against the real tree, rebuild
-		// dirty lists (and, with ElemRank, re-rank) once.
-		next = ix.materializeOf(cur)
-		dirty := map[string]bool{}
-		for i, m := range muts {
-			id, perr := dewey.Parse(m.ID)
-			if perr != nil {
-				if m.Remove {
-					return nil, fmt.Errorf("xmlsearch: bad id: %w", perr)
-				}
-				return nil, fmt.Errorf("xmlsearch: bad parent id: %w", perr)
-			}
-			if m.Remove {
-				n := next.doc.NodeByDewey(id)
-				if n == nil {
-					return nil, fmt.Errorf("xmlsearch: no element at %s", m.ID)
-				}
-				if n.Parent == nil {
-					return nil, fmt.Errorf("xmlsearch: cannot remove the document root")
-				}
-				collectTerms(n, dirty)
-				next.enc.Remove(n)
-				records[i] = encodeRemoveRecord(m.ID)
-				continue
-			}
-			if m.Tag == "" {
-				return nil, fmt.Errorf("xmlsearch: empty element tag")
-			}
-			parent := next.doc.NodeByDewey(id)
-			if parent == nil {
-				return nil, fmt.Errorf("xmlsearch: no element at %s", m.ID)
-			}
-			if m.Pos < 0 || m.Pos > len(parent.Children) {
-				return nil, fmt.Errorf("xmlsearch: position %d out of range [0,%d]", m.Pos, len(parent.Children))
-			}
-			child := &xmltree.Node{Tag: m.Tag, Text: m.Text}
-			for _, term := range tokenize.Tokens(m.Text) {
-				dirty[term] = true
-			}
-			moved, ierr := next.enc.Insert(parent, child, m.Pos)
-			if ierr != nil {
-				return nil, fmt.Errorf("xmlsearch: %w", ierr)
-			}
-			if moved != nil {
-				collectTerms(moved, dirty)
-			}
-			ids[i] = child.Dewey.String()
-			records[i] = encodeInsertRecord(m.ID, m.Pos, m.Tag, m.Text)
-		}
-		ix.applyDirty(next, dirty)
-		next.epoch = ix.epochs.Add(1)
-	}
-
-	if err := ix.walAppend(records); err != nil {
+	if err := ix.walAppend(muts); err != nil {
 		return nil, err
 	}
 	ix.publish(next)
 	ix.maybeCompact()
 	return ids, nil
+}
+
+// countOps splits a batch into its insert and removal counts.
+func countOps(muts []Mutation) (inserts, removes int) {
+	for _, m := range muts {
+		if m.Remove {
+			removes++
+		}
+	}
+	return len(muts) - removes, removes
+}
+
+// applyTo builds the successor of cur with muts applied in order, leaving
+// cur untouched; it is the only place an operation is validated against a
+// snapshot and applied. The all-fast delta chain is tried first; any
+// removal or ineligible insert sends the whole batch through the
+// materializing path instead: fold cur once, run the slow loop, rebuild
+// the dirty lists (and, with ElemRank, re-rank) once. ids carries each
+// insert's new Dewey identifier, dirty the number of list rebuilds, and
+// renumbered whether a gap-exhausted subtree was re-encoded. The first
+// invalid operation fails the batch with nothing built.
+func (ix *Index) applyTo(cur *snapshot, muts []Mutation) (next *snapshot, ids []string, dirty int, renumbered bool, err error) {
+	if next, ids, dirty, err = ix.fastChain(cur, muts); next != nil || err != nil {
+		return next, ids, dirty, false, err
+	}
+	next = ix.materializeOf(cur)
+	if ids, dirty, renumbered, err = ix.applySlow(next, muts); err != nil {
+		return nil, nil, 0, false, err
+	}
+	next.epoch = ix.epochs.Add(1)
+	return next, ids, dirty, renumbered, nil
+}
+
+// parseID parses the Dewey identifier m addresses, wording a failure by
+// the kind of operation.
+func (m Mutation) parseID() (dewey.ID, error) {
+	id, err := dewey.Parse(m.ID)
+	switch {
+	case err == nil:
+		return id, nil
+	case m.Remove:
+		return nil, fmt.Errorf("xmlsearch: bad id: %w", err)
+	}
+	return nil, fmt.Errorf("xmlsearch: bad parent id: %w", err)
+}
+
+// resolve validates m against the snapshot's merged view and returns the
+// node it addresses: the parent of an insert, the victim of a removal.
+func (s *snapshot) resolve(m Mutation) (*xmltree.Node, error) {
+	id, err := m.parseID()
+	if err != nil {
+		return nil, err
+	}
+	if !m.Remove && m.Tag == "" {
+		return nil, fmt.Errorf("xmlsearch: empty element tag")
+	}
+	n := s.nodeByDewey(id)
+	switch {
+	case n == nil:
+		return nil, fmt.Errorf("xmlsearch: no element at %s", m.ID)
+	case m.Remove && n.Parent == nil:
+		return nil, fmt.Errorf("xmlsearch: cannot remove the document root")
+	case !m.Remove && (m.Pos < 0 || m.Pos > len(s.visibleChildren(n))):
+		return nil, fmt.Errorf("xmlsearch: position %d out of range [0,%d]", m.Pos, len(s.visibleChildren(n)))
+	}
+	return n, nil
+}
+
+// fastChain applies muts as successive delta appends, each building a
+// private successor segment over cur's base. It returns a nil snapshot
+// (and no error) as soon as one operation is not an eligible append — the
+// chain built so far is simply dropped — and the error of the first
+// invalid operation it meets. An empty muts returns cur itself.
+func (ix *Index) fastChain(cur *snapshot, muts []Mutation) (next *snapshot, ids []string, dirty int, err error) {
+	ids = make([]string, len(muts))
+	for i, m := range muts {
+		if m.Remove {
+			return nil, nil, 0, nil
+		}
+		parent, err := cur.resolve(m)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		ns, child, rebuilt := ix.fastInsert(cur, parent, m)
+		if ns == nil {
+			return nil, nil, 0, nil
+		}
+		cur, ids[i], dirty = ns, child.Dewey.String(), dirty+rebuilt
+	}
+	return cur, ids, dirty, nil
+}
+
+// applySlow runs muts in order against next — a private, delta-free
+// snapshot — through the real JDewey maintenance path, then rebuilds every
+// dirty list once. On error next is left half-applied and must be dropped.
+func (ix *Index) applySlow(next *snapshot, muts []Mutation) (ids []string, dirtyN int, renumbered bool, err error) {
+	ids = make([]string, len(muts))
+	dirty := map[string]bool{}
+	for i, m := range muts {
+		n, err := next.resolve(m)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if m.Remove {
+			collectTerms(n, dirty)
+			next.enc.Remove(n)
+			continue
+		}
+		child := &xmltree.Node{Tag: m.Tag, Text: m.Text}
+		collectTerms(child, dirty)
+		moved, err := next.enc.Insert(n, child, m.Pos)
+		if err != nil {
+			return nil, 0, false, fmt.Errorf("xmlsearch: %w", err)
+		}
+		if moved != nil {
+			renumbered = true
+			collectTerms(moved, dirty)
+		}
+		ids[i] = child.Dewey.String()
+	}
+	return ids, ix.applyDirty(next, dirty), renumbered, nil
 }
 
 // publish stamps the next snapshot's generation, swaps it in atomically,

@@ -104,10 +104,18 @@ func decodeMutationRecord(p []byte) (Mutation, error) {
 	return m, nil
 }
 
-// encodeDeltaOp frames one recorded delta operation; the delta holds only
-// appending leaf inserts, so every op is WAL-encodable.
-func encodeDeltaOp(op deltaOp) []byte {
-	return encodeInsertRecord(op.parent.String(), op.pos, op.tag, op.text)
+// encodeMutations frames each mutation as its WAL record — the same bytes
+// whether it is logged by a live commit or carried into a rotated log.
+func encodeMutations(muts []Mutation) [][]byte {
+	records := make([][]byte, len(muts))
+	for i, m := range muts {
+		if m.Remove {
+			records[i] = encodeRemoveRecord(m.ID)
+		} else {
+			records[i] = encodeInsertRecord(m.ID, m.Pos, m.Tag, m.Text)
+		}
+	}
+	return records
 }
 
 // walAppend makes a mutation batch durable before it publishes: one group
@@ -115,10 +123,11 @@ func encodeDeltaOp(op deltaOp) []byte {
 // nil log (no WAL attached) is a successful no-op; an append error means
 // nothing in the batch may be acknowledged, so the caller must not
 // publish.
-func (ix *Index) walAppend(records [][]byte) error {
+func (ix *Index) walAppend(muts []Mutation) error {
 	if ix.log == nil {
 		return nil
 	}
+	records := encodeMutations(muts)
 	n, err := ix.log.Append(records)
 	if err != nil {
 		ix.metrics.WAL.RecordError()
@@ -333,15 +342,12 @@ func (ix *Index) compactOnce() (err error) {
 	}
 	// Mutations published during the fold extended the same chain with
 	// fast appends; rebase that suffix onto the folded snapshot.
-	var suffix []deltaOp
+	var suffix []Mutation
 	if latest.delta != nil {
 		suffix = latest.delta.ops[foldedOps:]
 	}
 	if ix.log != nil {
-		records := make([][]byte, len(suffix))
-		for i, op := range suffix {
-			records[i] = encodeDeltaOp(op)
-		}
+		records := encodeMutations(suffix)
 		newLog, err := wal.Create(ix.walFsys, filepath.Join(ix.walDir, wal.FileName(gen)), gen, records)
 		if err != nil {
 			ix.metrics.WAL.RecordError()
@@ -361,28 +367,16 @@ func (ix *Index) compactOnce() (err error) {
 		ix.metrics.WAL.RecordRotation()
 		tr.Note("rotate", int64(gen), int64(len(records)), 0)
 	}
-	next := folded
-	next.epoch = ix.epochs.Add(1)
-	for _, op := range suffix {
-		parent := next.nodeByDewey(op.parent)
-		if parent == nil || op.pos != len(next.visibleChildren(parent)) {
-			parent = nil
-		}
-		var ok bool
-		var ns *snapshot
-		if parent != nil {
-			ns, ok = ix.fastInsert(next, parent, op.pos, op.tag, op.text)
-		}
-		if !ok {
-			// The folded base renumbered something the suffix depended on
-			// and the op is no longer a fast append there. The disk side is
-			// already committed (and consistent: generation + log replay
-			// equals the live state); keep serving the existing chain and
-			// let a later compaction fold it wholesale.
-			ix.metrics.Compact.RecordAbandoned(int64(time.Since(start)))
-			return nil
-		}
-		next = ns
+	folded.epoch = ix.epochs.Add(1)
+	next, _, _, _ := ix.fastChain(folded, suffix)
+	if next == nil {
+		// The folded base renumbered something the suffix depended on and
+		// an op is no longer a fast append there. The disk side is already
+		// committed (and consistent: generation + log replay equals the
+		// live state); keep serving the existing chain and let a later
+		// compaction fold it wholesale.
+		ix.metrics.Compact.RecordAbandoned(int64(time.Since(start)))
+		return nil
 	}
 	ix.publish(next)
 	ix.metrics.Compact.RecordRun(foldedOps, int64(time.Since(start)))

@@ -704,15 +704,17 @@ func Load(dir string) (*Index, error) {
 }
 
 // attachWAL completes a Load on a WAL-enabled directory: recover the
-// committed generation's log, replay its acknowledged records through the
-// normal mutation path (the log is not attached yet, so the replay is not
-// re-logged), and attach the open log so subsequent mutations append to
-// it. A directory without wal.<gen> is a plain snapshot directory and
-// loads unchanged. The loaded base plus the replayed records reconstructs
-// exactly the acknowledged state: recovery already dropped any torn tail
-// (those mutations were never acknowledged), and a CRC-valid record that
-// fails to re-apply means the directory does not match its log — a load
-// error, never a partially applied index.
+// committed generation's log, re-apply its acknowledged records through
+// applyTo — one publish per record, nothing logged (the records are
+// already in the log), nothing compacted, nothing booked as a live write —
+// and attach the open log so subsequent mutations append to it. The index
+// is not shared yet, so no lock is needed until the attach. A directory
+// without wal.<gen> is a plain snapshot directory and loads unchanged. The
+// loaded base plus the replayed records reconstructs exactly the
+// acknowledged state: recovery already dropped any torn tail (those
+// mutations were never acknowledged), and a CRC-valid record that fails to
+// re-apply means the directory does not match its log — a load error,
+// never a partially applied index.
 func (ix *Index) attachWAL(dir string, gen uint64) error {
 	path := filepath.Join(dir, wal.FileName(gen))
 	if _, err := os.Stat(path); err != nil {
@@ -725,17 +727,12 @@ func (ix *Index) attachWAL(dir string, gen uint64) error {
 	if err != nil {
 		return fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	// Suppress background compaction during replay (there is no log to
-	// rotate yet); restore the configured trigger after.
-	saved := ix.compactThreshold.Load()
-	ix.compactThreshold.Store(-1)
 	for i, rec := range res.Records {
 		mut, derr := decodeMutationRecord(rec)
 		if derr == nil {
-			if mut.Remove {
-				derr = ix.RemoveElement(mut.ID)
-			} else {
-				_, derr = ix.InsertElement(mut.ID, mut.Pos, mut.Tag, mut.Text)
+			var next *snapshot
+			if next, _, _, _, derr = ix.applyTo(ix.view(), []Mutation{mut}); derr == nil {
+				ix.publish(next)
 			}
 		}
 		if derr != nil {
@@ -743,7 +740,6 @@ func (ix *Index) attachWAL(dir string, gen uint64) error {
 			return fmt.Errorf("xmlsearch: load: wal replay record %d: %w", i, derr)
 		}
 	}
-	ix.compactThreshold.Store(saved)
 	ix.metrics.WAL.RecordReplay(len(res.Records), res.QuarantinedBytes)
 	ix.writeMu.Lock()
 	ix.log = log
