@@ -8,22 +8,12 @@
 //	xkwbench -full                # the paper's protocol (40 queries x 5 runs, scale 1.0)
 //	xkwbench -exp fig9 -scale 0.5 # one experiment at a chosen scale
 //	xkwbench -metrics -slow 5ms   # append engine metrics + slow-query log
-//	xkwbench -writers 4           # query latency under concurrent mutation
 //	xkwbench -o results.txt
-//
-// Machine-readable telemetry and the CI perf gate:
-//
-//	xkwbench -exp smoke -json BENCH_smoke.json
-//	xkwbench -exp smoke -json BENCH_smoke.json -baseline results/BENCH_smoke.json -tol 3.0
-//	xkwbench -exp overload -json BENCH_overload.json
-//	xkwbench -exp shard -json BENCH_shard.json -baseline results/BENCH_shard.json -tol 3.0
-//	xkwbench -exp attribution -json BENCH_attribution.json -baseline results/BENCH_attribution.json -tol 0.5
-//	xkwbench -exp ingest -json BENCH_ingest.json -baseline results/BENCH_ingest.json -tol 3.0
 //
 // Workload capture and replay (the flight-recorder pipeline):
 //
 //	xkwbench -exp capture -workload w.ndjson [-qlog-dir dir]
-//	xkwbench -exp replay  -workload w.ndjson -json BENCH_replay.json [-paced]
+//	xkwbench -exp replay  -workload w.ndjson [-paced]
 //
 // -exp capture drives a deterministic mixed workload (complete, top-K,
 // streaming, budget-tripped, partial, and deadline-expired queries)
@@ -35,20 +25,12 @@
 // fingerprint exactly. -paced replays on the captured arrival schedule
 // instead of closed-loop.
 //
-// -exp smoke measures every engine on the mid-band workload against a
-// disk-backed store and writes per-engine p50/p95/p99, throughput, and
-// decode volume (plus the machine fingerprint) to -json. With -baseline,
-// the run exits nonzero when any point's p50 regresses beyond -tol
-// (fractional; 3.0 = 4x slower) against the committed baseline.
-//
-// -exp overload hammers the HTTP serving stack (admission control
-// included) at twice its in-flight capacity and reports the shed rate,
-// certified-partial rate, and admitted-query latency — the degradation
-// behavior rather than raw engine speed.
+// xkwbench measures the paper's experiments, not the system's
+// performance over time: latency, throughput and per-layer counters are
+// the contract benchmark's job (benchmark/README.md, BENCHMARK.json).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -59,6 +41,44 @@ import (
 	"repro/internal/bench"
 )
 
+// options is everything an experiment reads from the command line.
+type options struct {
+	w        io.Writer
+	cfg      bench.Config
+	workload string
+	qlogDir  string
+	paced    bool
+	metrics  bool
+	slow     time.Duration
+}
+
+// experiments is the one list of -exp names: the flag's help text, the
+// validation of the name and the dispatch all read it.
+var experiments = []struct {
+	name string
+	run  func(o options) error
+}{
+	{"all", sweep(true, func(o options, dblp, xmark *bench.Env) { bench.RunAllEnvs(o.w, o.cfg, dblp, xmark) })},
+	{"table1", sweep(true, func(o options, dblp, xmark *bench.Env) { bench.Table1(o.w, dblp, xmark) })},
+	{"fig9", sweep(false, func(o options, dblp, _ *bench.Env) { bench.Figure9(o.w, dblp, o.cfg) })},
+	{"fig10", sweep(false, func(o options, dblp, _ *bench.Env) { bench.Figure10(o.w, dblp, o.cfg) })},
+	{"ablations", sweep(true, func(o options, dblp, xmark *bench.Env) {
+		bench.AblationThreshold(o.w, dblp, o.cfg)
+		bench.AblationJoinPlan(o.w, dblp, o.cfg)
+		bench.AblationCompression(o.w, dblp, xmark)
+	})},
+	{"capture", runCapture},
+	{"replay", runReplay},
+}
+
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
 func main() {
 	var (
 		full     = flag.Bool("full", false, "run the paper-scale protocol (slower)")
@@ -67,19 +87,28 @@ func main() {
 		queries  = flag.Int("queries", 0, "override queries per sweep point")
 		reps     = flag.Int("reps", 0, "override repetitions per query")
 		topK     = flag.Int("k", 10, "K for the top-K experiments")
-		exp      = flag.String("exp", "all", "experiment: all, table1, fig9, fig10, ablations, smoke, overload, shard, ingest, attribution, capture, replay")
+		exp      = flag.String("exp", "all", "experiment: "+experimentNames())
 		workload = flag.String("workload", "", "with -exp capture/replay, the NDJSON workload file to write/read")
 		paced    = flag.Bool("paced", false, "with -exp replay, pace the replay by the recorded inter-arrival offsets")
 		qlogDir  = flag.String("qlog-dir", "", "with -exp capture, also sink the capture through a rotating on-disk qlog in this directory")
 		out      = flag.String("o", "", "also write output to this file")
-		jsonOut  = flag.String("json", "", "with -exp smoke or overload, write the telemetry report to this file")
-		baseline = flag.String("baseline", "", "with -exp smoke, gate the run against this baseline report")
-		tol      = flag.Float64("tol", 0.25, "fractional p50 regression tolerance for -baseline (0.25 = 25%)")
 		metrics  = flag.Bool("metrics", false, "append per-engine metrics (Prometheus text + JSON) after the sweep")
 		slow     = flag.Duration("slow", 0, "with -metrics, log queries at or above this latency")
-		writers  = flag.Int("writers", 0, "run the concurrent-serving experiment with this many writer goroutines")
 	)
 	flag.Parse()
+
+	// The name is checked before anything is built: a mistyped experiment
+	// must not cost a corpus generation before it is rejected.
+	var run func(o options) error
+	for _, e := range experiments {
+		if e.name == *exp {
+			run = e.run
+		}
+	}
+	if run == nil {
+		fmt.Fprintf(os.Stderr, "xkwbench: unknown experiment %q (valid: %s)\n", *exp, experimentNames())
+		os.Exit(2)
+	}
 
 	cfg := bench.DefaultConfig()
 	if *full {
@@ -108,392 +137,82 @@ func main() {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	if *writers > 0 {
-		// The concurrent-serving experiment runs the whole library stack
-		// (snapshot-isolated Index, not the per-engine harness), so it is
-		// its own mode rather than a member of the sweep table.
-		if err := concurrentServing(w, cfg.Scale, cfg.Seed, *writers, cfg.TopK); err != nil {
-			fmt.Fprintln(os.Stderr, "xkwbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *exp == "smoke" {
-		if err := runSmoke(w, cfg, *jsonOut, *baseline, *tol); err != nil {
-			fmt.Fprintln(os.Stderr, "xkwbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "overload" {
-		if err := runOverload(w, cfg, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "xkwbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "shard" {
-		if err := runShard(w, cfg, *jsonOut, *baseline, *tol); err != nil {
-			fmt.Fprintln(os.Stderr, "xkwbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "ingest" {
-		if err := runIngest(w, cfg, *jsonOut, *baseline, *tol); err != nil {
-			fmt.Fprintln(os.Stderr, "xkwbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "attribution" {
-		if err := runAttribution(w, cfg, *jsonOut, *baseline, *tol); err != nil {
-			fmt.Fprintln(os.Stderr, "xkwbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "capture" {
-		if err := runCapture(w, cfg, *workload, *qlogDir); err != nil {
-			fmt.Fprintln(os.Stderr, "xkwbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "replay" {
-		if err := runReplay(w, cfg, *workload, *paced, *jsonOut, *baseline, *tol); err != nil {
-			fmt.Fprintln(os.Stderr, "xkwbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	dblp := bench.NewDBLPEnv(cfg.Scale, cfg.Seed)
-	var xmark *bench.Env
-	needXMark := *exp == "all" || *exp == "table1" || *exp == "ablations"
-	if needXMark {
-		xmark = bench.NewXMarkEnv(cfg.Scale, cfg.Seed)
-	}
-	if *slow > 0 {
-		dblp.Obs.SetSlowQueryThreshold(*slow)
-		if xmark != nil {
-			xmark.Obs.SetSlowQueryThreshold(*slow)
-		}
-	}
-
-	switch *exp {
-	case "all":
-		bench.RunAllEnvs(w, cfg, dblp, xmark)
-	case "table1":
-		bench.Table1(w, dblp, xmark)
-	case "fig9":
-		bench.Figure9(w, dblp, cfg)
-	case "fig10":
-		bench.Figure10(w, dblp, cfg)
-	case "ablations":
-		bench.AblationThreshold(w, dblp, cfg)
-		bench.AblationJoinPlan(w, dblp, cfg)
-		bench.AblationCompression(w, dblp, xmark)
-	default:
-		fmt.Fprintf(os.Stderr, "xkwbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
-
-	if *metrics {
-		dumpMetrics(w, "dblp", dblp)
-		if xmark != nil {
-			dumpMetrics(w, "xmark", xmark)
-		}
+	err := run(options{w: w, cfg: cfg, workload: *workload, qlogDir: *qlogDir,
+		paced: *paced, metrics: *metrics, slow: *slow})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xkwbench:", err)
+		os.Exit(1)
 	}
 }
 
-// runSmoke measures the telemetry smoke sweep, writes the JSON report,
-// and — when a baseline is given — gates the run against it, exiting
-// through an error listing every regressed point.
-func runSmoke(w io.Writer, cfg bench.Config, jsonOut, baseline string, tol float64) error {
-	dir, err := os.MkdirTemp("", "xkwbench-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	report, err := bench.Smoke(cfg, dir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== telemetry smoke: scale=%.2f queries/pt=%d reps=%d K=%d (%s/%s, %d CPU, %s) ==\n",
-		cfg.Scale, cfg.QueriesPerPt, cfg.RepsPerQuery, cfg.TopK,
-		report.Env.GOOS, report.Env.GOARCH, report.Env.NumCPU, report.Env.GoVersion)
-	fmt.Fprintf(w, "%-10s %-14s %12s %12s %12s %10s %12s\n", "engine", "workload", "p50", "p95", "p99", "qps", "decoded")
-	for _, p := range report.Points {
-		fmt.Fprintf(w, "%-10s %-14s %12v %12v %12v %10.0f %12d\n",
-			p.Engine, p.Label, time.Duration(p.P50Ns), time.Duration(p.P95Ns), time.Duration(p.P99Ns), p.QPS, p.DecodedBytes)
-	}
-	fmt.Fprintf(w, "plan-cache hit ratio (prepared AlgoAuto, 3 passes): %.2f\n", report.PlanCacheHitRatio)
-	if jsonOut != "" {
-		if err := bench.WriteReport(jsonOut, report); err != nil {
-			return err
+// sweep wraps one of the paper's experiments: build the DBLP environment
+// (and XMark when the experiment reads it), run it, and append the engine
+// metrics when asked.
+func sweep(needXMark bool, fn func(o options, dblp, xmark *bench.Env)) func(o options) error {
+	return func(o options) error {
+		dblp := bench.NewDBLPEnv(o.cfg.Scale, o.cfg.Seed)
+		var xmark *bench.Env
+		if needXMark {
+			xmark = bench.NewXMarkEnv(o.cfg.Scale, o.cfg.Seed)
 		}
-		fmt.Fprintf(w, "report written to %s\n", jsonOut)
-	}
-	if baseline != "" {
-		base, err := bench.ReadReport(baseline)
-		if err != nil {
-			return err
-		}
-		if v := bench.CompareReports(base, report, tol); len(v) > 0 {
-			for _, line := range v {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", line)
+		if o.slow > 0 {
+			dblp.Obs.SetSlowQueryThreshold(o.slow)
+			if xmark != nil {
+				xmark.Obs.SetSlowQueryThreshold(o.slow)
 			}
-			return fmt.Errorf("%d point(s) regressed beyond %.0f%% vs %s", len(v), tol*100, baseline)
 		}
-		fmt.Fprintf(w, "perf gate passed: no p50 regression beyond %.0f%% vs %s\n", tol*100, baseline)
-	}
-	return nil
-}
-
-// runOverload measures the serving stack's degradation behavior at 2x
-// admission capacity and writes the JSON report.
-func runOverload(w io.Writer, cfg bench.Config, jsonOut string) error {
-	report, err := bench.Overload(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== overload: scale=%.2f queries/pt=%d reps=%d K=%d (%s/%s, %d CPU, %s) ==\n",
-		cfg.Scale, cfg.QueriesPerPt, cfg.RepsPerQuery, cfg.TopK,
-		report.Env.GOOS, report.Env.GOARCH, report.Env.NumCPU, report.Env.GoVersion)
-	fmt.Fprintf(w, "%-14s %12s %12s %12s %10s\n", "phase", "p50", "p95", "p99", "qps")
-	for _, p := range report.Points {
-		fmt.Fprintf(w, "%-14s %12v %12v %12v %10.0f\n",
-			p.Label, time.Duration(p.P50Ns), time.Duration(p.P95Ns), time.Duration(p.P99Ns), p.QPS)
-	}
-	fmt.Fprintf(w, "shed rate: %.2f  partial rate: %.2f  admission rejected: %d\n",
-		report.ShedRate, report.PartialRate, report.AdmissionRejected)
-	if jsonOut != "" {
-		if err := bench.WriteReport(jsonOut, report); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", jsonOut)
-	}
-	return nil
-}
-
-// runShard measures the multi-core shard scaling sweep — scatter-gather
-// top-K latency and aggregate writer throughput at shards=1 vs
-// shards=4 — writes the JSON report, and optionally gates against a
-// committed baseline.
-func runShard(w io.Writer, cfg bench.Config, jsonOut, baseline string, tol float64) error {
-	report, err := bench.ShardScaling(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== shard scaling: scale=%.2f queries/pt=%d reps=%d K=%d (%s/%s, %d CPU, %s) ==\n",
-		cfg.Scale, cfg.QueriesPerPt, cfg.RepsPerQuery, cfg.TopK,
-		report.Env.GOOS, report.Env.GOARCH, report.Env.NumCPU, report.Env.GoVersion)
-	fmt.Fprintf(w, "%-10s %-12s %12s %12s %12s %10s\n", "engine", "workload", "p50", "p95", "p99", "qps")
-	for _, p := range report.Points {
-		fmt.Fprintf(w, "%-10s %-12s %12v %12v %12v %10.0f\n",
-			p.Engine, p.Label, time.Duration(p.P50Ns), time.Duration(p.P95Ns), time.Duration(p.P99Ns), p.QPS)
-	}
-	if jsonOut != "" {
-		if err := bench.WriteReport(jsonOut, report); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", jsonOut)
-	}
-	if baseline != "" {
-		base, err := bench.ReadReport(baseline)
-		if err != nil {
-			return err
-		}
-		if v := bench.CompareReports(base, report, tol); len(v) > 0 {
-			for _, line := range v {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", line)
+		fn(o, dblp, xmark)
+		if o.metrics {
+			dumpMetrics(o.w, "dblp", dblp)
+			if xmark != nil {
+				dumpMetrics(o.w, "xmark", xmark)
 			}
-			return fmt.Errorf("%d point(s) regressed beyond %.0f%% vs %s", len(v), tol*100, baseline)
 		}
-		fmt.Fprintf(w, "perf gate passed: no p50 regression beyond %.0f%% vs %s\n", tol*100, baseline)
+		return nil
 	}
-	return nil
-}
-
-// runIngest measures the sustained-ingest sweep — read-only vs
-// under-writers top-K latency, acknowledged writer throughput at two
-// corpus scales, and WAL-replay recovery time — writes the JSON report,
-// prints the two headline ratios (writer scale-independence and read
-// penalty under writers), and optionally gates against a committed
-// baseline.
-func runIngest(w io.Writer, cfg bench.Config, jsonOut, baseline string, tol float64) error {
-	dir, err := os.MkdirTemp("", "xkwingest")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	report, err := bench.Ingest(cfg, dir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== ingest: scale=%.2f queries/pt=%d reps=%d K=%d (%s/%s, %d CPU, %s) ==\n",
-		cfg.Scale, cfg.QueriesPerPt, cfg.RepsPerQuery, cfg.TopK,
-		report.Env.GOOS, report.Env.GOARCH, report.Env.NumCPU, report.Env.GoVersion)
-	fmt.Fprintf(w, "%-18s %-10s %12s %12s %12s %10s\n", "phase", "corpus", "p50", "p95", "p99", "qps")
-	pt := map[string]bench.Point{}
-	for _, p := range report.Points {
-		fmt.Fprintf(w, "%-18s %-10s %12v %12v %12v %10.0f\n",
-			p.Engine, p.Label, time.Duration(p.P50Ns), time.Duration(p.P95Ns), time.Duration(p.P99Ns), p.QPS)
-		pt[p.Engine+"/"+p.Label] = p
-	}
-	if w1, w2 := pt["writer/scale=1x"], pt["writer/scale=2x"]; w1.QPS > 0 && w2.QPS > 0 {
-		fmt.Fprintf(w, "writer throughput 2x-corpus/1x-corpus: %.2f (1.0 = corpus-independent)\n", w2.QPS/w1.QPS)
-	}
-	for _, label := range []string{"scale=1x", "scale=2x"} {
-		ro, uw := pt["read-only/"+label], pt["read-under-writers/"+label]
-		if ro.P50Ns > 0 {
-			fmt.Fprintf(w, "read p50 under writers / read-only (%s): %.2fx\n", label, float64(uw.P50Ns)/float64(ro.P50Ns))
-		}
-	}
-	if jsonOut != "" {
-		if err := bench.WriteReport(jsonOut, report); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", jsonOut)
-	}
-	if baseline != "" {
-		base, err := bench.ReadReport(baseline)
-		if err != nil {
-			return err
-		}
-		if v := bench.CompareReports(base, report, tol); len(v) > 0 {
-			for _, line := range v {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", line)
-			}
-			return fmt.Errorf("%d point(s) regressed beyond %.0f%% vs %s", len(v), tol*100, baseline)
-		}
-		fmt.Fprintf(w, "perf gate passed: no p50 regression beyond %.0f%% vs %s\n", tol*100, baseline)
-	}
-	return nil
-}
-
-// runAttribution measures the per-stage latency-attribution sweep —
-// each stage's share of scatter-gather wall time at shards=1 vs
-// shards=4 — writes the JSON report plus a sample stitched trace
-// (<json>_trace.json), and optionally gates stage-share drift against a
-// committed baseline (the shares ride the p50 slot under a fixed floor;
-// see internal/bench's attribution encoding).
-func runAttribution(w io.Writer, cfg bench.Config, jsonOut, baseline string, tol float64) error {
-	report, sample, err := bench.Attribution(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== attribution: scale=%.2f queries/pt=%d reps=%d K=%d (%s/%s, %d CPU, %s) ==\n",
-		cfg.Scale, cfg.QueriesPerPt, cfg.RepsPerQuery, cfg.TopK,
-		report.Env.GOOS, report.Env.GOARCH, report.Env.NumCPU, report.Env.GoVersion)
-	fmt.Fprintf(w, "%-10s %-28s %8s\n", "engine", "stage", "share")
-	for _, p := range report.Points {
-		fmt.Fprintf(w, "%-10s %-28s %7.1f%%\n", p.Engine, p.Label, 100*bench.DecodeShare(p.P50Ns))
-	}
-	if jsonOut != "" {
-		if err := bench.WriteReport(jsonOut, report); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", jsonOut)
-		if sample != nil {
-			tracePath := strings.TrimSuffix(jsonOut, ".json") + "_trace.json"
-			data, err := json.MarshalIndent(sample, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(tracePath, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "sample stitched trace written to %s\n", tracePath)
-		}
-	}
-	if baseline != "" {
-		base, err := bench.ReadReport(baseline)
-		if err != nil {
-			return err
-		}
-		if v := bench.CompareReports(base, report, tol); len(v) > 0 {
-			for _, line := range v {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", line)
-			}
-			return fmt.Errorf("%d stage share(s) drifted beyond tolerance vs %s", len(v), baseline)
-		}
-		fmt.Fprintf(w, "attribution gate passed: no stage-share drift beyond tolerance vs %s\n", baseline)
-	}
-	return nil
 }
 
 // runCapture drives the deterministic mixed workload through the facade
 // with the flight recorder on and writes the capture as an NDJSON
 // workload file.
-func runCapture(w io.Writer, cfg bench.Config, workload, qlogDir string) error {
-	if workload == "" {
+func runCapture(o options) error {
+	if o.workload == "" {
 		return fmt.Errorf("-exp capture requires -workload <file.ndjson>")
 	}
-	n, err := bench.CaptureWorkload(cfg, workload, qlogDir)
+	n, err := bench.CaptureWorkload(o.cfg, o.workload, o.qlogDir)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "== capture: scale=%.2f seed=%d queries/pt=%d K=%d ==\n",
-		cfg.Scale, cfg.Seed, cfg.QueriesPerPt, cfg.TopK)
-	fmt.Fprintf(w, "%d records captured to %s\n", n, workload)
-	if qlogDir != "" {
-		fmt.Fprintf(w, "rotating qlog sink written under %s\n", qlogDir)
+	fmt.Fprintf(o.w, "== capture: scale=%.2f seed=%d queries/pt=%d K=%d ==\n",
+		o.cfg.Scale, o.cfg.Seed, o.cfg.QueriesPerPt, o.cfg.TopK)
+	fmt.Fprintf(o.w, "%d records captured to %s\n", n, o.workload)
+	if o.qlogDir != "" {
+		fmt.Fprintf(o.w, "rotating qlog sink written under %s\n", o.qlogDir)
 	}
 	return nil
 }
 
-// runReplay re-executes a captured workload, prints the per-recorded-
-// outcome latency table and the fingerprint verdict, writes the JSON
-// report, optionally gates against a baseline, and fails on any
-// fingerprint mismatch — the replay determinism gate.
-func runReplay(w io.Writer, cfg bench.Config, workload string, paced bool, jsonOut, baseline string, tol float64) error {
-	if workload == "" {
+// runReplay re-executes a captured workload, prints the fingerprint
+// verdict, and fails on any mismatch — the replay determinism gate.
+func runReplay(o options) error {
+	if o.workload == "" {
 		return fmt.Errorf("-exp replay requires -workload <file.ndjson>")
 	}
-	report, err := bench.Replay(cfg, workload, bench.ReplayOptions{Paced: paced})
+	sum, err := bench.Replay(o.cfg, o.workload, bench.ReplayOptions{Paced: o.paced})
 	if err != nil {
 		return err
 	}
-	sum := report.Replay
-	fmt.Fprintf(w, "== replay: %s scale=%.2f seed=%d paced=%v (%s/%s, %d CPU, %s) ==\n",
-		workload, cfg.Scale, cfg.Seed, paced,
-		report.Env.GOOS, report.Env.GOARCH, report.Env.NumCPU, report.Env.GoVersion)
-	fmt.Fprintf(w, "%-20s %8s %12s %12s %12s %10s\n", "recorded outcome", "queries", "p50", "p95", "p99", "qps")
-	for _, p := range report.Points {
-		fmt.Fprintf(w, "%-20s %8d %12v %12v %12v %10.0f\n",
-			p.Label, p.Queries, time.Duration(p.P50Ns), time.Duration(p.P95Ns), time.Duration(p.P99Ns), p.QPS)
-	}
-	fmt.Fprintf(w, "replayed %d/%d records; fingerprints checked %d, mismatches %d\n",
+	fmt.Fprintf(o.w, "== replay: %s scale=%.2f seed=%d paced=%v ==\n",
+		o.workload, o.cfg.Scale, o.cfg.Seed, o.paced)
+	fmt.Fprintf(o.w, "replayed %d/%d records; fingerprints checked %d, mismatches %d\n",
 		sum.Replayed, sum.Records, sum.Checked, sum.Mismatches)
-	if jsonOut != "" {
-		if err := bench.WriteReport(jsonOut, report); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", jsonOut)
-	}
-	if baseline != "" {
-		base, err := bench.ReadReport(baseline)
-		if err != nil {
-			return err
-		}
-		if v := bench.CompareReports(base, report, tol); len(v) > 0 {
-			for _, line := range v {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", line)
-			}
-			return fmt.Errorf("%d point(s) regressed beyond %.0f%% vs %s", len(v), tol*100, baseline)
-		}
-		fmt.Fprintf(w, "perf gate passed: no p50 regression beyond %.0f%% vs %s\n", tol*100, baseline)
-	}
 	if sum.Mismatches > 0 {
 		for _, m := range sum.MismatchExamples {
 			fmt.Fprintln(os.Stderr, "MISMATCH:", m)
 		}
 		return fmt.Errorf("%d fingerprint mismatch(es): replay did not reproduce the capture", sum.Mismatches)
 	}
-	fmt.Fprintln(w, "replay deterministic: every recorded-ok fingerprint reproduced")
+	fmt.Fprintln(o.w, "replay deterministic: every recorded-ok fingerprint reproduced")
 	return nil
 }
 

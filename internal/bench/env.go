@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
@@ -60,27 +59,6 @@ func NewEnv(ds *gen.Dataset) *Env {
 // record accounts one benchmark query into the environment's metrics.
 func (e *Env) record(eng obs.Engine, q []string, k int, start time.Time, n int) {
 	e.Obs.RecordQuery(eng, strings.Join(q, " "), k, time.Since(start), n, nil, nil)
-}
-
-// Fingerprint identifies the machine and toolchain a benchmark report was
-// produced on. Reports carry it so a regression gate can tell "the code
-// got slower" apart from "the report came from a different machine" — CI
-// comparisons across differing fingerprints need a generous tolerance.
-type Fingerprint struct {
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-}
-
-// CurrentFingerprint samples the running process's environment.
-func CurrentFingerprint() Fingerprint {
-	return Fingerprint{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
 }
 
 // NewDBLPEnv and NewXMarkEnv build the two standard environments.

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -39,28 +38,26 @@ type ReplayOptions struct {
 	ForceAlgo string
 }
 
-// ReplaySummary is the replay verdict carried in the Report: how much of
-// the workload was re-executed and whether the recorded-ok fingerprints
-// reproduced.
+// ReplaySummary is the replay verdict: how much of the workload was
+// re-executed and whether the recorded-ok fingerprints reproduced.
 type ReplaySummary struct {
-	Workload string `json:"workload"`
 	// Records is the workload size; Replayed how many were re-executed
 	// (unknown ops are skipped and counted in Skipped).
-	Records  int `json:"records"`
-	Replayed int `json:"replayed"`
-	Skipped  int `json:"skipped,omitempty"`
+	Records  int
+	Replayed int
+	Skipped  int
 	// Checked counts records with a recorded-ok fingerprint that were
 	// verified; Mismatches how many failed to reproduce (0 is the CI
 	// gate).
-	Checked    int  `json:"fingerprints_checked"`
-	Mismatches int  `json:"fingerprint_mismatches"`
-	Paced      bool `json:"paced,omitempty"`
+	Checked    int
+	Mismatches int
+	Paced      bool
 	// Outcomes histograms the replayed records by their *recorded*
 	// outcome class.
-	Outcomes map[string]int `json:"outcomes,omitempty"`
+	Outcomes map[string]int
 	// MismatchExamples carries up to five human-readable mismatch
 	// descriptions for the CI log.
-	MismatchExamples []string `json:"mismatch_examples,omitempty"`
+	MismatchExamples []string
 }
 
 // CaptureWorkload runs the deterministic mixed workload through the
@@ -95,7 +92,7 @@ func CaptureWorkload(cfg Config, workloadPath, qlogDir string) (int, error) {
 	return len(records), nil
 }
 
-// bandQueriesFromDataset rebuilds the smoke's mid-band k=2 workload
+// bandQueriesFromDataset builds the mid-band k=2 workload
 // without the full Env (capture needs only the facade index).
 func bandQueriesFromDataset(ds *gen.Dataset, cfg Config) [][]string {
 	e := &Env{DS: ds}
@@ -223,10 +220,10 @@ func replayOne(ctx context.Context, ix replayTarget, r qlog.Record, force string
 
 // Replay loads a captured workload and re-executes it against a fresh
 // index built at cfg's (scale, seed) — which must match the capture's,
-// or every fingerprint check will fail. It reports per-recorded-outcome
-// latency points plus the ReplaySummary; the caller decides whether
-// mismatches fail the run.
-func Replay(cfg Config, workload string, opt ReplayOptions) (*Report, error) {
+// or every fingerprint check will fail. A replay is a determinism check,
+// not a measurement (timing belongs to benchmark/); the caller decides
+// whether mismatches fail the run.
+func Replay(cfg Config, workload string, opt ReplayOptions) (*ReplaySummary, error) {
 	records, err := qlog.ReadFile(workload)
 	if err != nil {
 		return nil, err
@@ -241,12 +238,10 @@ func Replay(cfg Config, workload string, opt ReplayOptions) (*Report, error) {
 	}
 
 	sum := &ReplaySummary{
-		Workload: workload,
 		Records:  len(records),
 		Paced:    opt.Paced,
 		Outcomes: map[string]int{},
 	}
-	durs := map[string][]time.Duration{} // recorded outcome -> replay latencies
 	ctx := context.Background()
 	start := time.Now()
 	base := records[0].OffsetNs
@@ -256,16 +251,13 @@ func Replay(cfg Config, workload string, opt ReplayOptions) (*Report, error) {
 				time.Sleep(wait)
 			}
 		}
-		t0 := time.Now()
 		fp, rerr := replayOne(ctx, ix, r, opt.ForceAlgo)
-		d := time.Since(t0)
 		if rerr != nil && strings.Contains(rerr.Error(), "unknown recorded op") {
 			sum.Skipped++
 			continue
 		}
 		sum.Replayed++
 		sum.Outcomes[r.Outcome]++
-		durs[r.Outcome] = append(durs[r.Outcome], d)
 		if r.Outcome != qlog.OutcomeOK || r.Fingerprint == "" || opt.ForceAlgo != "" {
 			// Only recorded-complete answers have a reproducible
 			// fingerprint; under ForceAlgo the engine changed, so result
@@ -288,31 +280,7 @@ func Replay(cfg Config, workload string, opt ReplayOptions) (*Report, error) {
 		}
 	}
 
-	rep := &Report{Exp: "replay", Env: CurrentFingerprint(), Config: cfg, Replay: sum}
-	outcomes := make([]string, 0, len(durs))
-	for o := range durs {
-		outcomes = append(outcomes, o)
-	}
-	sort.Strings(outcomes)
-	for _, o := range outcomes {
-		ds := durs[o]
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		var total time.Duration
-		for _, d := range ds {
-			total += d
-		}
-		p := Point{
-			Exp: "replay", Engine: "facade", Label: "outcome=" + o,
-			Queries: len(ds), Reps: 1,
-			P50Ns: int64(quantile(ds, 50)), P95Ns: int64(quantile(ds, 95)),
-			P99Ns: int64(quantile(ds, 99)), MeanNs: int64(total / time.Duration(len(ds))),
-		}
-		if total > 0 {
-			p.QPS = float64(len(ds)) / total.Seconds()
-		}
-		rep.Points = append(rep.Points, p)
-	}
-	return rep, nil
+	return sum, nil
 }
 
 // ShardedFingerprints re-executes a captured workload's recorded-ok

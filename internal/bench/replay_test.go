@@ -19,7 +19,7 @@ func replayTestConfig() Config {
 
 // TestCaptureReplayRoundTrip: capture the mixed workload, replay it on a
 // freshly built index of the same (scale, seed), and require zero
-// fingerprint mismatches — the end-to-end property the CI smoke gates.
+// fingerprint mismatches — the end-to-end property the CI replay step gates.
 func TestCaptureReplayRoundTrip(t *testing.T) {
 	cfg := replayTestConfig()
 	dir := t.TempDir()
@@ -42,11 +42,10 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 		t.Fatalf("sink has %d records, workload %d", len(sunk), n)
 	}
 
-	rep, err := Replay(cfg, workload, ReplayOptions{})
+	sum, err := Replay(cfg, workload, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := rep.Replay
 	if sum.Replayed != n || sum.Skipped != 0 {
 		t.Fatalf("replayed %d skipped %d, want %d/0", sum.Replayed, sum.Skipped, n)
 	}
@@ -61,15 +60,6 @@ func TestCaptureReplayRoundTrip(t *testing.T) {
 			t.Errorf("no %q records in capture: %v", o, sum.Outcomes)
 		}
 	}
-	// Per-outcome latency points, labeled for the CI gate.
-	if len(rep.Points) != len(sum.Outcomes) {
-		t.Errorf("%d points for %d outcomes", len(rep.Points), len(sum.Outcomes))
-	}
-	for _, p := range rep.Points {
-		if p.Exp != "replay" || p.Engine != "facade" || p.P50Ns <= 0 {
-			t.Errorf("implausible point: %+v", p)
-		}
-	}
 }
 
 // TestReplayPaced: paced replay honors the recorded schedule (and still
@@ -81,12 +71,35 @@ func TestReplayPaced(t *testing.T) {
 	if _, err := CaptureWorkload(cfg, workload, ""); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Replay(cfg, workload, ReplayOptions{Paced: true})
+	sum, err := Replay(cfg, workload, ReplayOptions{Paced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Replay.Paced || rep.Replay.Mismatches != 0 {
-		t.Fatalf("paced replay summary: %+v", rep.Replay)
+	if !sum.Paced || sum.Mismatches != 0 {
+		t.Fatalf("paced replay summary: %+v", sum)
+	}
+}
+
+// TestReplayCommittedWorkload replays the committed capture at the scale
+// and seed it was recorded with: the replay gate of tier-1, so a change
+// that moves any recorded-ok answer fails `go test ./...` and not only
+// the CI replay step.
+func TestReplayCommittedWorkload(t *testing.T) {
+	workload := filepath.Join("..", "..", "results", "workload_sample.ndjson")
+	sum, err := Replay(DefaultConfig(), workload, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Records != 65 || sum.Replayed != 65 || sum.Skipped != 0 {
+		t.Fatalf("replayed %d of %d records, skipped %d; want 65 of 65, 0", sum.Replayed, sum.Records, sum.Skipped)
+	}
+	if sum.Checked != 48 || sum.Mismatches != 0 {
+		t.Fatalf("checked %d fingerprints, %d mismatches (%v); want 48, 0", sum.Checked, sum.Mismatches, sum.MismatchExamples)
+	}
+	for _, o := range []string{qlog.OutcomeOK, qlog.OutcomeBudget, qlog.OutcomePartial, qlog.OutcomeDeadline} {
+		if sum.Outcomes[o] == 0 {
+			t.Errorf("no %q records in the committed workload: %v", o, sum.Outcomes)
+		}
 	}
 }
 
