@@ -158,22 +158,17 @@ func parseCorpusNames(data []byte) ([]string, error) {
 // handling matches Load: per-term damage degrades (see Health), metadata
 // damage is a clean error.
 func LoadCorpus(dir string) (*Corpus, error) {
-	idx, err := Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	gen, v2, err := colstore.CurrentGen(dir)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(filepath.Join(dir, genFileName(fileCorpusNames, gen, v2)))
+	g, err := colstore.OpenGen(dir)
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	if v2 {
-		if data, err = colstore.StripFooter(data); err != nil {
-			return nil, fmt.Errorf("xmlsearch: load %s: %w", fileCorpusNames, err)
-		}
+	idx, err := loadGen(g)
+	if err != nil {
+		return nil, err
+	}
+	data, err := g.Read(fileCorpusNames)
+	if err != nil {
+		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
 	names, err := parseCorpusNames(data)
 	if err != nil {

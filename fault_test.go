@@ -184,10 +184,10 @@ func TestParseIndexMetaHardening(t *testing.T) {
 	if _, jds, err := parseIndexMeta(good); err != nil || len(jds) != idx.Len() {
 		t.Fatalf("round trip: %v, %d numbers (want %d)", err, len(jds), idx.Len())
 	}
-	// Legacy magic with the same body parses too.
-	legacy := append([]byte(indexMetaMagic), good[len(indexMetaMagicV2):]...)
-	if _, jds, err := parseIndexMeta(legacy); err != nil || len(jds) != idx.Len() {
-		t.Fatalf("legacy magic: %v, %d numbers", err, len(jds))
+	// The pre-checksum magic with the same body is rejected.
+	legacy := append([]byte("XKWMETA1\n"), good[len(indexMetaMagicV2):]...)
+	if _, _, err := parseIndexMeta(legacy); err == nil {
+		t.Fatal("legacy magic accepted")
 	}
 
 	bad := map[string][]byte{

@@ -28,7 +28,7 @@ func FuzzLoadMeta(f *testing.F) {
 	if err != nil || !v2 {
 		f.Fatalf("no commit point: %v", err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, genFileName(fileMeta, gen, true)))
+	raw, err := os.ReadFile(filepath.Join(dir, colstore.GenName(fileMeta, gen)))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func FuzzLoadMeta(f *testing.F) {
 	}
 	f.Add(payload)
 	f.Add(raw) // footer attached: trailing bytes, must be rejected
-	f.Add(append([]byte(indexMetaMagic), payload[len(indexMetaMagicV2):]...))
+	f.Add(append([]byte("XKWMETA1\n"), payload[len(indexMetaMagicV2):]...))
 	f.Add([]byte(indexMetaMagicV2))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -346,6 +347,36 @@ func TestQuarantineContainment(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, intact[w]) {
 			t.Fatalf("healthy term %q served wrong data", w)
+		}
+	}
+}
+
+// TestOpenRejectsUncommittedDir: a directory without a commit point holds
+// no committed index, whatever else is in it — Open names the missing
+// CURRENT instead of reading files no commit vouches for.
+func TestOpenRejectsUncommittedDir(t *testing.T) {
+	s, _ := twoStores(t)
+	uncommitted := t.TempDir()
+	if err := s.Save(uncommitted); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(uncommitted, CurrentFile)); err != nil {
+		t.Fatal(err)
+	}
+	// The pre-checksum layout: bare file names, no footers, no commit point.
+	v1 := t.TempDir()
+	for name, data := range map[string]string{
+		fileLexicon: "XKWCOL1\n\x01\x01\x00", // one node, depth 1, no words
+		fileColumns: "",
+		fileTopK:    "",
+	} {
+		if err := os.WriteFile(filepath.Join(v1, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, dir := range map[string]string{"empty": t.TempDir(), "CURRENT removed": uncommitted, "v1 layout": v1} {
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), CurrentFile) {
+			t.Errorf("Open(%s) = %v, want an error naming the missing %s", name, err, CurrentFile)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func FuzzOpenLexicon(f *testing.F) {
 	}
 	f.Add(payload)
 	f.Add(raw) // footer still attached: must be rejected as trailing bytes
-	f.Add([]byte(magicV1))
+	f.Add([]byte("XKWCOL1\n"))
 	f.Add([]byte(magicV2))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

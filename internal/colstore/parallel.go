@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -111,7 +110,6 @@ func (s *Store) openMany(terms []string, tk bool, tr *obs.Trace, bdg *budget.B) 
 		term    string
 		blob    []byte
 		crc     uint32
-		hasCRC  bool
 		encLen  int64
 		val     any
 		blocks  int
@@ -184,20 +182,8 @@ func (s *Store) openMany(terms []string, tk bool, tr *obs.Trace, bdg *budget.B) 
 			j.idxs = append(j.idxs, i)
 			continue
 		}
-		j := &job{idxs: []int{i}, term: term, hasCRC: e.hasCRC, encLen: encLen}
-		if tk {
-			if e.tkOff+e.tkLen > uint64(len(s.tkBlob)) {
-				j.err = fmt.Errorf("colstore: top-K extent [%d,+%d) outside blob (%d bytes)", e.tkOff, e.tkLen, len(s.tkBlob))
-			} else {
-				j.blob, j.crc = s.tkBlob[e.tkOff:e.tkOff+e.tkLen], e.tkCRC
-			}
-		} else {
-			if e.colOff+e.colLen > uint64(len(s.colBlob)) {
-				j.err = fmt.Errorf("colstore: column extent [%d,+%d) outside blob (%d bytes)", e.colOff, e.colLen, len(s.colBlob))
-			} else {
-				j.blob, j.crc = s.colBlob[e.colOff:e.colOff+e.colLen], e.colCRC
-			}
-		}
+		j := &job{idxs: []int{i}, term: term, encLen: encLen}
+		j.blob, j.crc, j.err = s.extent(e, tk)
 		jobs = append(jobs, j)
 		pending[term] = j
 	}
@@ -214,12 +200,7 @@ func (s *Store) openMany(terms []string, tk bool, tr *obs.Trace, bdg *budget.B) 
 		if j.err != nil {
 			return
 		}
-		if j.hasCRC && Checksum(j.blob) != j.crc {
-			if tk {
-				j.err = fmt.Errorf("colstore: top-K list checksum mismatch")
-			} else {
-				j.err = fmt.Errorf("colstore: column list checksum mismatch")
-			}
+		if j.err = verifyList(j.blob, j.crc, tk); j.err != nil {
 			return
 		}
 		if tk {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -17,14 +16,12 @@ import (
 // File names inside an index directory. The paper stores inverted lists
 // directly on disk rather than inside a column DBMS because the lexicon is
 // huge and most lists are short (Section V); we mirror that with one blob
-// file per list family plus a lexicon of offsets. Format v2 suffixes the
-// names with a generation number and commits via CURRENT (see durable.go);
-// v1 used these names directly.
+// file per list family plus a lexicon of offsets. On disk the names carry
+// a generation suffix and are committed via CURRENT (see durable.go).
 const (
 	fileColumns = "postings.col" // JDewey-ordered column lists
 	fileTopK    = "postings.tk"  // score-sorted, length-grouped lists
 	fileLexicon = "lexicon"
-	magicV1     = "XKWCOL1\n"
 	magicV2     = "XKWCOL2\n"
 )
 
@@ -47,7 +44,7 @@ type Store struct {
 	// failed their checksum or structural validation are quarantined (they
 	// read as absent) instead of poisoning the whole index, and file-level
 	// damage that could not be attributed to one term is recorded.
-	format      int // 0 in-memory, 1 legacy, 2 checksummed
+	format      int // 0 in-memory, 2 on-disk
 	quarantined map[string]error
 	fileDamage  []string
 
@@ -71,7 +68,6 @@ type lexEntry struct {
 	tkOff, tkLen   uint64
 	freq           uint64
 	colCRC, tkCRC  uint32
-	hasCRC         bool
 }
 
 // Build constructs an in-memory store from an occurrence map. Per-keyword
@@ -198,29 +194,38 @@ func (s *Store) quarantine(term string, err error) {
 	}
 }
 
-// colSlice bounds- and checksum-verifies one term's extent of the column
-// blob (under s.mu).
-func (s *Store) colSlice(e lexEntry) ([]byte, error) {
-	if e.colOff+e.colLen > uint64(len(s.colBlob)) {
-		return nil, fmt.Errorf("colstore: column extent [%d,+%d) outside blob (%d bytes)", e.colOff, e.colLen, len(s.colBlob))
+// extent bounds-checks one term's extent of the column (or, with tk, the
+// top-K) blob and returns it with its recorded checksum (under s.mu).
+func (s *Store) extent(e lexEntry, tk bool) ([]byte, uint32, error) {
+	kind, blob, off, n, crc := "column", s.colBlob, e.colOff, e.colLen, e.colCRC
+	if tk {
+		kind, blob, off, n, crc = "top-K", s.tkBlob, e.tkOff, e.tkLen, e.tkCRC
 	}
-	b := s.colBlob[e.colOff : e.colOff+e.colLen]
-	if e.hasCRC && Checksum(b) != e.colCRC {
-		return nil, fmt.Errorf("colstore: column list checksum mismatch")
+	if off+n > uint64(len(blob)) {
+		return nil, 0, fmt.Errorf("colstore: %s extent [%d,+%d) outside blob (%d bytes)", kind, off, n, len(blob))
 	}
-	return b, nil
+	return blob[off : off+n], crc, nil
 }
 
-// tkSlice is colSlice for the top-K blob.
-func (s *Store) tkSlice(e lexEntry) ([]byte, error) {
-	if e.tkOff+e.tkLen > uint64(len(s.tkBlob)) {
-		return nil, fmt.Errorf("colstore: top-K extent [%d,+%d) outside blob (%d bytes)", e.tkOff, e.tkLen, len(s.tkBlob))
+// verifyList is the checksum check every on-disk list passes before it is
+// decoded or streamed; nothing can skip it.
+func verifyList(b []byte, crc uint32, tk bool) error {
+	if Checksum(b) == crc {
+		return nil
 	}
-	b := s.tkBlob[e.tkOff : e.tkOff+e.tkLen]
-	if e.hasCRC && Checksum(b) != e.tkCRC {
-		return nil, fmt.Errorf("colstore: top-K list checksum mismatch")
+	if tk {
+		return fmt.Errorf("colstore: top-K list checksum mismatch")
 	}
-	return b, nil
+	return fmt.Errorf("colstore: column list checksum mismatch")
+}
+
+// slice is extent plus verifyList, for the streaming handles (under s.mu).
+func (s *Store) slice(e lexEntry, tk bool) ([]byte, error) {
+	b, crc, err := s.extent(e, tk)
+	if err != nil {
+		return nil, err
+	}
+	return b, verifyList(b, crc, tk)
 }
 
 // List returns the JDewey-ordered column list for a term, or nil when the
@@ -253,7 +258,7 @@ func (s *Store) Handle(term string) *Handle {
 	var blob []byte
 	if e, ok := s.lex[term]; ok {
 		var err error
-		blob, err = s.colSlice(e)
+		blob, err = s.slice(e, false)
 		if err != nil {
 			s.quarantine(term, err)
 			return nil
@@ -285,7 +290,7 @@ func (s *Store) TKHandle(term string) *TKHandle {
 	var blob []byte
 	if e, ok := s.lex[term]; ok {
 		var err error
-		blob, err = s.tkSlice(e)
+		blob, err = s.slice(e, true)
 		if err != nil {
 			s.quarantine(term, err)
 			return nil
@@ -417,27 +422,20 @@ func (s *Store) Save(dir string) error {
 // SaveFS is Save through an explicit filesystem, the injection point of
 // the crash tests.
 func (s *Store) SaveFS(dir string, fsys faultinject.FS) error {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("colstore: save: %w", err)
-	}
-	gen, err := NextGen(dir)
+	g, err := BeginGen(dir, fsys)
 	if err != nil {
-		return fmt.Errorf("colstore: save: %w", err)
-	}
-	if err := s.SaveGen(dir, gen, fsys); err != nil {
 		return err
 	}
-	if err := CommitGen(dir, gen, fsys); err != nil {
+	if err := s.SaveGen(g); err != nil {
 		return err
 	}
-	RemoveStaleGens(dir, gen, fsys)
-	return nil
+	return g.Commit()
 }
 
-// SaveGen writes the store's three files of one generation without
-// committing it, for callers (the xmlsearch layer) that bundle more files
-// into the same generation before the single CommitGen.
-func (s *Store) SaveGen(dir string, gen uint64, fsys faultinject.FS) error {
+// SaveGen writes the store's three files into an uncommitted generation,
+// for callers (the xmlsearch layer) that bundle more files into the same
+// generation before the single Commit.
+func (s *Store) SaveGen(g *Gen) error {
 	words := s.Words()
 	var colBlob, tkBlob []byte
 	lex := make([]byte, 0, 1024)
@@ -473,20 +471,13 @@ func (s *Store) SaveGen(dir string, gen uint64, fsys faultinject.FS) error {
 		lex = binary.LittleEndian.AppendUint32(lex, Checksum(colBlob[colOff:]))
 		lex = binary.LittleEndian.AppendUint32(lex, Checksum(tkBlob[tkOff:]))
 	}
-	for _, f := range []struct {
-		name string
-		data []byte
-	}{
-		{fileColumns, colBlob},
-		{fileTopK, tkBlob},
-		{fileLexicon, lex},
-	} {
-		path := filepath.Join(dir, GenName(f.name, gen))
-		if err := fsys.WriteFile(path, AppendFooter(f.data), 0o644); err != nil {
-			return fmt.Errorf("colstore: save %s: %w", f.name, err)
-		}
+	if err := g.Write(fileColumns, colBlob); err != nil {
+		return err
 	}
-	return nil
+	if err := g.Write(fileTopK, tkBlob); err != nil {
+		return err
+	}
+	return g.Write(fileLexicon, lex)
 }
 
 // parseLexicon decodes a lexicon payload (magic included). Extent bounds
@@ -494,16 +485,10 @@ func (s *Store) SaveGen(dir string, gen uint64, fsys faultinject.FS) error {
 // per term; everything here is fatal because a lexicon that cannot be
 // parsed identifies nothing.
 func parseLexicon(lex []byte) (n, depth int, entries map[string]lexEntry, err error) {
-	var format int
-	switch {
-	case len(lex) >= len(magicV2) && string(lex[:len(magicV2)]) == magicV2:
-		format = 2
-	case len(lex) >= len(magicV1) && string(lex[:len(magicV1)]) == magicV1:
-		format = 1
-	default:
+	if len(lex) < len(magicV2) || string(lex[:len(magicV2)]) != magicV2 {
 		return 0, 0, nil, fmt.Errorf("colstore: open: not an index lexicon")
 	}
-	off := len(magicV1)
+	off := len(magicV2)
 	read := func() (uint64, error) {
 		v, sz := binary.Uvarint(lex[off:])
 		if sz <= 0 {
@@ -547,15 +532,12 @@ func parseLexicon(lex []byte) (n, depth int, entries map[string]lexEntry, err er
 				return 0, 0, nil, err
 			}
 		}
-		if format == 2 {
-			if off+8 > len(lex) {
-				return 0, 0, nil, fmt.Errorf("colstore: open: truncated checksums for word %q", w)
-			}
-			e.colCRC = binary.LittleEndian.Uint32(lex[off:])
-			e.tkCRC = binary.LittleEndian.Uint32(lex[off+4:])
-			e.hasCRC = true
-			off += 8
+		if off+8 > len(lex) {
+			return 0, 0, nil, fmt.Errorf("colstore: open: truncated checksums for word %q", w)
 		}
+		e.colCRC = binary.LittleEndian.Uint32(lex[off:])
+		e.tkCRC = binary.LittleEndian.Uint32(lex[off+4:])
+		off += 8
 		if _, dup := entries[w]; dup {
 			return 0, 0, nil, fmt.Errorf("colstore: open: duplicate word %q", w)
 		}
@@ -567,79 +549,64 @@ func parseLexicon(lex []byte) (n, depth int, entries map[string]lexEntry, err er
 	return int(nv), int(depthv), entries, nil
 }
 
-// Open maps an index directory. Lists decode lazily on first access, and
-// on the checksummed v2 format each access verifies its CRC32C first:
-// damage to one term's bytes quarantines that term (reported via Health)
-// while the rest of the index keeps serving. Only damage to the small,
-// fully-verified metadata (CURRENT, the lexicon) fails the whole open.
+// Open maps an index directory's committed generation (see OpenStore).
 func Open(dir string) (*Store, error) {
-	gen, v2, err := CurrentGen(dir)
+	g, err := OpenGen(dir)
 	if err != nil {
 		return nil, err
 	}
-	name := func(base string) string {
-		if v2 {
-			return GenName(base, gen)
-		}
-		return base
-	}
-	lexRaw, err := os.ReadFile(filepath.Join(dir, name(fileLexicon)))
+	return OpenStore(g)
+}
+
+// OpenStore maps the store's three files of one generation. Lists decode
+// lazily on first access, and each access verifies its CRC32C first:
+// damage to one term's bytes quarantines that term (reported via Health)
+// while the rest of the index keeps serving. Only damage to the small,
+// fully-verified metadata (CURRENT, the lexicon) fails the whole open.
+func OpenStore(g *Gen) (*Store, error) {
+	// The lexicon is the map of everything else: its footer and CRC are
+	// verified eagerly and damage is fatal (a clean error, not wrong
+	// results).
+	lex, err := g.Read(fileLexicon)
 	if err != nil {
-		return nil, fmt.Errorf("colstore: open: %w", err)
-	}
-	colBlob, err := os.ReadFile(filepath.Join(dir, name(fileColumns)))
-	if err != nil {
-		return nil, fmt.Errorf("colstore: open: %w", err)
-	}
-	tkBlob, err := os.ReadFile(filepath.Join(dir, name(fileTopK)))
-	if err != nil {
-		return nil, fmt.Errorf("colstore: open: %w", err)
-	}
-	s := &Store{
-		lists:   make(map[string]*List),
-		tklists: make(map[string]*TKList),
-		format:  1,
-	}
-	lex := lexRaw
-	if v2 {
-		s.format = 2
-		// The lexicon is the map of everything else: its footer and CRC are
-		// verified eagerly and damage is fatal (a clean error, not wrong
-		// results). Blob footers are advisory — per-list CRCs localize blob
-		// damage, so a bad blob footer only flags file-level damage.
-		lex, err = StripFooter(lexRaw)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: open lexicon: %w", err)
-		}
-		if payload, ferr := StripFooter(colBlob); ferr == nil {
-			colBlob = payload
-		} else {
-			s.fileDamage = append(s.fileDamage, fmt.Sprintf("%s: %v", fileColumns, ferr))
-		}
-		if payload, ferr := StripFooter(tkBlob); ferr == nil {
-			tkBlob = payload
-		} else {
-			s.fileDamage = append(s.fileDamage, fmt.Sprintf("%s: %v", fileTopK, ferr))
-		}
+		return nil, err
 	}
 	n, depth, entries, err := parseLexicon(lex)
 	if err != nil {
 		return nil, err
 	}
-	s.N, s.Depth = n, depth
-	s.colBlob, s.tkBlob = colBlob, tkBlob
-	s.lex = entries
-	if s.format == 1 {
-		// Legacy lexicons carry no checksums; an out-of-range extent is
-		// indistinguishable from a corrupt lexicon, so reject wholesale as
-		// v1 always did.
-		for w, e := range entries {
-			if e.colOff+e.colLen > uint64(len(colBlob)) || e.tkOff+e.tkLen > uint64(len(tkBlob)) {
-				return nil, fmt.Errorf("colstore: open: word %q offsets out of range", w)
-			}
-		}
+	s := &Store{
+		N:       n,
+		Depth:   depth,
+		lists:   make(map[string]*List),
+		tklists: make(map[string]*TKList),
+		lex:     entries,
+		format:  2,
+	}
+	if s.colBlob, err = s.readBlob(g, fileColumns); err != nil {
+		return nil, err
+	}
+	if s.tkBlob, err = s.readBlob(g, fileTopK); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// readBlob reads one list blob of a generation. Blob footers are advisory —
+// per-list CRCs localize blob damage — so a bad footer only flags
+// file-level damage and the bytes as found are served under the per-list
+// checks.
+func (s *Store) readBlob(g *Gen, name string) ([]byte, error) {
+	data, err := os.ReadFile(g.Path(name))
+	if err != nil {
+		return nil, fmt.Errorf("colstore: open: %w", err)
+	}
+	payload, ferr := StripFooter(data)
+	if ferr != nil {
+		s.fileDamage = append(s.fileDamage, fmt.Sprintf("%s: %v", name, ferr))
+		return data, nil
+	}
+	return payload, nil
 }
 
 // TermFault is one quarantined term in a Health report.
@@ -653,7 +620,7 @@ type TermFault struct {
 // file-level damage. The zero Degraded/empty report means the index is
 // fully intact.
 type Health struct {
-	Format      int // 0 in-memory, 1 legacy on-disk, 2 checksummed
+	Format      int // 0 in-memory, 2 on-disk
 	Terms       int // terms the index knows (healthy + quarantined)
 	Quarantined []TermFault
 	FileDamage  []string

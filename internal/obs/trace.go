@@ -131,6 +131,7 @@ type Trace struct {
 	events   []Event
 	cur      int32 // innermost open span, -1 at root
 	id       uint64
+	stages   *StageBreakdown // memo of Breakdown
 
 	dropped int
 	lastThL int64   // dedup state for EvThreshold
@@ -199,6 +200,21 @@ func (t *Trace) Dropped() int {
 		return 0
 	}
 	return t.dropped
+}
+
+// Breakdown reduces the finished trace's span tree to its stage breakdown
+// (BreakdownOf) exactly once: the query path's accounting and the trace
+// store's retention both call it and share the one result. Nil when the
+// trace is nil or has no spans.
+func (t *Trace) Breakdown(wall time.Duration) *StageBreakdown {
+	if t == nil || len(t.spans) == 0 {
+		return nil
+	}
+	if t.stages == nil {
+		bd := BreakdownOf(t.spans, wall)
+		t.stages = &bd
+	}
+	return t.stages
 }
 
 // ID returns the trace's TraceStore ID — nonzero only after the trace was

@@ -71,9 +71,10 @@ type StoredTrace struct {
 	Spans   []Span        `json:"spans"`
 	Events  []Event       `json:"events"`
 	Dropped int           `json:"dropped,omitempty"`
-	// Stages is the critical-path reduction of the span tree (BreakdownOf),
-	// precomputed at retention so /traces/{id} answers "where did the time
-	// go" without re-deriving it.
+	// Stages is the critical-path reduction of the span tree
+	// (Trace.Breakdown — the one the query path already computed, when it
+	// did), kept so /traces/{id} answers "where did the time go" without
+	// re-deriving it.
 	Stages *StageBreakdown `json:"stages,omitempty"`
 }
 
@@ -197,10 +198,7 @@ func (ts *TraceStore) Add(engine Engine, query string, k int, elapsed time.Durat
 	if err != nil {
 		st.Err = err.Error()
 	}
-	if len(st.Spans) > 0 {
-		bd := BreakdownOf(st.Spans, elapsed)
-		st.Stages = &bd
-	}
+	st.Stages = tr.Breakdown(elapsed)
 
 	ts.mu.Lock()
 	defer ts.mu.Unlock()

@@ -48,8 +48,11 @@ type Log struct {
 	f    faultinject.AppendFile
 }
 
+// Name is the log's base file name within an index directory.
+const Name = "wal"
+
 // FileName names the log of one base generation: "wal.<gen>".
-func FileName(gen uint64) string { return colstore.GenName("wal", gen) }
+func FileName(gen uint64) string { return colstore.GenName(Name, gen) }
 
 // header encodes the file header for gen.
 func header(gen uint64) []byte {
@@ -70,7 +73,7 @@ func AppendRecord(buf, payload []byte) []byte {
 // existing file at path is truncated: creation happens at commit points,
 // where the previous log's records are already folded into the base.
 // The caller must SyncDir the parent directory before relying on the
-// file surviving a crash (CommitGen's directory syncs cover the rotation
+// file surviving a crash (Gen.Commit's directory syncs cover the rotation
 // performed at a generation flip).
 func Create(fsys faultinject.FS, path string, gen uint64, records [][]byte) (*Log, error) {
 	buf := header(gen)

@@ -404,6 +404,9 @@ func TestShardedCertifiedPartialAbortCause(t *testing.T) {
 	if qs.TraceID == 0 || !ok || st.Kind != obs.KindError || !strings.Contains(st.Err, "budget") {
 		t.Errorf("trace store: id=%d found=%v kind=%q err=%q, want an always-retained error trace", qs.TraceID, ok, st.Kind, st.Err)
 	}
+	if qs.Stages == nil || !reflect.DeepEqual(st.Stages, qs.Stages) {
+		t.Errorf("retained trace stages %+v differ from the caller's QueryStats.Stages %+v", st.Stages, qs.Stages)
+	}
 	r := drainRecords(t, rec, 1)[0]
 	if r.Outcome != qlog.OutcomePartial || r.Fingerprint == "" || !strings.Contains(r.Err, "budget") {
 		t.Errorf("record outcome=%q fp=%q err=%q, want partial with fingerprint and the budget abort", r.Outcome, r.Fingerprint, r.Err)

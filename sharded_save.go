@@ -2,7 +2,9 @@ package xmlsearch
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -51,30 +53,15 @@ func parseShardsMeta(meta []byte) (int, error) {
 // The routing table is write-locked for the duration, so the saved
 // shards form one consistent partition of the corpus.
 func (sh *Sharded) Save(dir string) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fsys := faultinject.OS()
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("xmlsearch: save: %w", err)
-	}
-	for i, ix := range sh.shards {
-		if err := ix.Save(filepath.Join(dir, shardDirName(i))); err != nil {
-			return err
-		}
-	}
-	gen, err := colstore.NextGen(dir)
-	if err != nil {
-		return fmt.Errorf("xmlsearch: save: %w", err)
-	}
-	path := filepath.Join(dir, colstore.GenName(fileShardsMeta, gen))
-	if err := fsys.WriteFile(path, colstore.AppendFooter(encodeShardsMeta(len(sh.shards))), 0o644); err != nil {
-		return fmt.Errorf("xmlsearch: save %s: %w", fileShardsMeta, err)
-	}
-	if err := colstore.CommitGen(dir, gen, fsys); err != nil {
-		return err
-	}
-	colstore.RemoveStaleGens(dir, gen, fsys, fileShardsMeta)
-	return nil
+	return sh.saveFS(dir, faultinject.OS())
+}
+
+// saveFS is Save through an explicit filesystem, the injection point of
+// the crash tests.
+func (sh *Sharded) saveFS(dir string, fsys faultinject.FS) error {
+	return sh.commitShards(dir, fsys, func(ix *Index, shardDir string) error {
+		return ix.saveFS(shardDir, fsys, nil)
+	})
 }
 
 // EnableWAL makes every shard durable under dir: each shard gets its own
@@ -84,30 +71,36 @@ func (sh *Sharded) Save(dir string) error {
 // shard's log. Per-shard logs mean a mutation's group commit never
 // serializes behind an unrelated shard's fsync.
 func (sh *Sharded) EnableWAL(dir string) error {
+	return sh.enableWALFS(dir, faultinject.OS())
+}
+
+// enableWALFS is EnableWAL with an injectable filesystem.
+func (sh *Sharded) enableWALFS(dir string, fsys faultinject.FS) error {
+	return sh.commitShards(dir, fsys, func(ix *Index, shardDir string) error {
+		return ix.enableWALFS(shardDir, fsys)
+	})
+}
+
+// commitShards is the one sharded commit: under the routing write lock,
+// each persists every shard into its own subdirectory of dir, and only then
+// does the root's manifest generation commit — so a committed manifest
+// always names shards that are themselves committed.
+func (sh *Sharded) commitShards(dir string, fsys faultinject.FS, each func(ix *Index, shardDir string) error) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	fsys := faultinject.OS()
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("xmlsearch: wal: %w", err)
+	g, err := colstore.BeginGen(dir, fsys)
+	if err != nil {
+		return err
 	}
 	for i, ix := range sh.shards {
-		if err := ix.EnableWAL(filepath.Join(dir, shardDirName(i))); err != nil {
+		if err := each(ix, filepath.Join(dir, shardDirName(i))); err != nil {
 			return err
 		}
 	}
-	gen, err := colstore.NextGen(dir)
-	if err != nil {
-		return fmt.Errorf("xmlsearch: wal: %w", err)
-	}
-	path := filepath.Join(dir, colstore.GenName(fileShardsMeta, gen))
-	if err := fsys.WriteFile(path, colstore.AppendFooter(encodeShardsMeta(len(sh.shards))), 0o644); err != nil {
-		return fmt.Errorf("xmlsearch: save %s: %w", fileShardsMeta, err)
-	}
-	if err := colstore.CommitGen(dir, gen, fsys); err != nil {
+	if err := g.Write(fileShardsMeta, encodeShardsMeta(len(sh.shards))); err != nil {
 		return err
 	}
-	colstore.RemoveStaleGens(dir, gen, fsys, fileShardsMeta)
-	return nil
+	return g.Commit()
 }
 
 // Compact synchronously folds every shard's delta segment (and rotates
@@ -153,18 +146,16 @@ func IsShardedDir(dir string) bool {
 // shard loads with Index.Load's degradation contract (quarantined terms
 // read as absent; see Health for the merged report).
 func LoadSharded(dir string) (*Sharded, error) {
-	gen, v2, err := colstore.CurrentGen(dir)
+	g, err := colstore.OpenGen(dir)
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, genFileName(fileShardsMeta, gen, v2)))
+	raw, err := g.Read(fileShardsMeta)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("xmlsearch: load: %s is not a sharded index directory (a plain one opens with Load): %w", dir, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
-	}
-	if v2 {
-		if raw, err = colstore.StripFooter(raw); err != nil {
-			return nil, fmt.Errorf("xmlsearch: load %s: %w", fileShardsMeta, err)
-		}
 	}
 	n, err := parseShardsMeta(raw)
 	if err != nil {

@@ -66,7 +66,8 @@ type queryObs struct {
 // finish is the shared tail of every query path, sharded or not: engine
 // metrics and slow-query log; then — for a traced query — the one
 // reduction of its spans to a stage breakdown, which feeds the attribution
-// counters, QueryStats.Stages and the record's stage_ns alike; then the
+// counters, QueryStats.Stages, the record's stage_ns and the retained
+// trace's Stages alike (Trace.Breakdown memoizes it); then the
 // tail-sampling offer to the trace store, linking the retained trace ID
 // into the engine's latency histogram as an exemplar; then — when the
 // flight recorder is on — the query's record, offered without blocking.
@@ -83,10 +84,9 @@ func (o *queryObs) finish(req *request, out *outcome, elapsed time.Duration, bdg
 	}
 	tr := req.tr
 	o.metrics.RecordQuery(out.eng, req.query, req.k, elapsed, out.n, ferr, tr)
-	if spans := tr.Spans(); len(spans) > 0 {
-		bd := obs.BreakdownOf(spans, elapsed)
-		out.stages = &bd
-		o.metrics.Stage.RecordBreakdown(out.eng, &bd)
+	if bd := tr.Breakdown(elapsed); bd != nil {
+		out.stages = bd
+		o.metrics.Stage.RecordBreakdown(out.eng, bd)
 		if bd.Straggler >= 0 && shards > 1 {
 			o.metrics.Shard.Stragglers.Inc()
 		}

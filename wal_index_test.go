@@ -127,6 +127,70 @@ func TestWALCrashAtEveryOpDuringIngest(t *testing.T) {
 	}
 }
 
+// TestShardedSaveCrashAtEveryOp kills the filesystem (with a torn final
+// write) at every operation of a sharded save — the per-shard generations
+// and the root manifest commit alike — once into an empty directory and
+// once over a committed save of the same state. LoadSharded must then
+// either fail cleanly (only possible while the first save's manifest never
+// committed) or serve exactly the in-memory index.
+func TestShardedSaveCrashAtEveryOp(t *testing.T) {
+	sh := mustSharded(t, shardedTestXML, 2)
+	queries := []string{"sensor", "sensor omega", "alpha"}
+	want := make([][]Result, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = sh.TopK(q, 10, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, overCommitted := range []bool{false, true} {
+		// save runs one save through fsys, into an empty directory or over a
+		// committed save of the same state.
+		save := func(fsys faultinject.FS) (string, error) {
+			dir := t.TempDir()
+			if overCommitted {
+				if err := sh.Save(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return dir, sh.saveFS(dir, fsys)
+		}
+		sizing := faultinject.NewFaultFS(faultinject.OS())
+		if _, err := save(sizing); err != nil {
+			t.Fatal(err)
+		}
+		total := sizing.Ops()
+		if total < 20 {
+			t.Fatalf("suspiciously small op schedule: %d", total)
+		}
+		for n := 1; n <= total; n++ {
+			dir, err := save(faultinject.NewFaultFS(faultinject.OS()).CrashAt(n))
+			// A crash inside the final best-effort sweep is not an error.
+			if err != nil && !errors.Is(err, faultinject.ErrCrashed) {
+				t.Fatalf("over committed %v: crash at op %d surfaced as %v", overCommitted, n, err)
+			}
+			ld, err := LoadSharded(dir)
+			if err != nil {
+				if overCommitted {
+					t.Fatalf("crash at op %d of a re-save left an unloadable index: %v", n, err)
+				}
+				continue
+			}
+			if ld.Shards() != sh.Shards() || ld.Len() != sh.Len() {
+				t.Fatalf("over committed %v: crash at op %d loaded %d shards / %d nodes, want %d / %d",
+					overCommitted, n, ld.Shards(), ld.Len(), sh.Shards(), sh.Len())
+			}
+			for i, q := range queries {
+				got, err := ld.TopK(q, 10, SearchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResults(t, fmt.Sprintf("crash at op %d", n), q, want[i], got)
+			}
+		}
+	}
+}
+
 // walEnabledDir builds an index with an attached WAL holding unreplayed
 // records (compaction disabled) and returns its directory and the terms
 // the log carries, in append order.

@@ -3,7 +3,6 @@ package xmlsearch
 import (
 	"encoding/binary"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"repro/internal/colstore"
@@ -157,44 +156,39 @@ func (ix *Index) enableWALFS(dir string, fsys faultinject.FS) error {
 		return errIndexClosed
 	}
 	if ix.log != nil {
-		if dir == ix.walDir {
+		if dir == ix.walGen.Dir {
 			return nil
 		}
-		return fmt.Errorf("xmlsearch: wal already attached at %s", ix.walDir)
+		return fmt.Errorf("xmlsearch: wal already attached at %s", ix.walGen.Dir)
 	}
 	s := ix.view()
 	if s.delta != nil {
 		s = ix.materializeOf(s)
 		s.epoch = ix.epochs.Add(1)
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("xmlsearch: wal: %w", err)
-	}
-	gen, err := colstore.NextGen(dir)
+	g, err := colstore.BeginGen(dir, fsys)
 	if err != nil {
-		return fmt.Errorf("xmlsearch: wal: %w", err)
+		return err
 	}
-	if err := ix.writeGenFiles(s, dir, gen, fsys, nil); err != nil {
+	if err := ix.writeGen(s, g, nil); err != nil {
 		return err
 	}
 	// The log file must exist before the CURRENT flip references its
 	// generation: recovery treats "committed gen without wal.<gen>" as a
 	// non-WAL directory and would silently skip replay.
-	log, err := wal.Create(fsys, filepath.Join(dir, wal.FileName(gen)), gen, nil)
+	log, err := wal.Create(fsys, g.Path(wal.Name), g.N, nil)
 	if err != nil {
 		return fmt.Errorf("xmlsearch: %w", err)
 	}
-	if err := colstore.CommitGen(dir, gen, fsys); err != nil {
+	if err := g.Commit(); err != nil {
 		log.Close()
 		return err
 	}
-	colstore.RemoveStaleGens(dir, gen, fsys, fileDocument, fileMeta, fileCorpusNames)
 	if s != ix.view() {
 		ix.publish(s)
 	}
 	ix.log = log
-	ix.walDir = dir
-	ix.walFsys = fsys
+	ix.walGen = g
 	ix.walRecords.Store(0)
 	return nil
 }
@@ -316,12 +310,12 @@ func (ix *Index) compactOnce() (err error) {
 	folded := ix.materializeOf(cur)
 	tr.Note("fold", int64(foldedOps), int64(folded.docLen()), 0)
 
-	var gen uint64
+	var g *colstore.Gen
 	if ix.log != nil {
 		var err error
-		gen, err = colstore.NextGen(ix.walDir)
+		g, err = ix.walGen.Next()
 		if err == nil {
-			err = ix.writeGenFiles(folded, ix.walDir, gen, ix.walFsys, nil)
+			err = ix.writeGen(folded, g, nil)
 		}
 		if err != nil {
 			ix.metrics.Compact.RecordError(int64(time.Since(start)))
@@ -335,7 +329,7 @@ func (ix *Index) compactOnce() (err error) {
 	if latest.epoch != cur.epoch {
 		// A slow-path mutation published a different materialized base
 		// while we folded: the fold is stale. Drop it (the uncommitted
-		// generation files are swept by the next commit's RemoveStaleGens)
+		// generation files are swept by the next commit)
 		// and let the next trigger retry against the new base.
 		ix.metrics.Compact.RecordAbandoned(int64(time.Since(start)))
 		return nil
@@ -348,24 +342,23 @@ func (ix *Index) compactOnce() (err error) {
 	}
 	if ix.log != nil {
 		records := encodeMutations(suffix)
-		newLog, err := wal.Create(ix.walFsys, filepath.Join(ix.walDir, wal.FileName(gen)), gen, records)
+		newLog, err := wal.Create(g.FS, g.Path(wal.Name), g.N, records)
 		if err != nil {
 			ix.metrics.WAL.RecordError()
 			ix.metrics.Compact.RecordError(int64(time.Since(start)))
 			return fmt.Errorf("xmlsearch: %w", err)
 		}
-		if err := colstore.CommitGen(ix.walDir, gen, ix.walFsys); err != nil {
+		if err := g.Commit(); err != nil {
 			newLog.Close()
 			ix.metrics.Compact.RecordError(int64(time.Since(start)))
 			return err
 		}
-		colstore.RemoveStaleGens(ix.walDir, gen, ix.walFsys, fileDocument, fileMeta, fileCorpusNames)
 		old := ix.log
-		ix.log = newLog
+		ix.log, ix.walGen = newLog, g
 		old.Close()
 		ix.walRecords.Store(int64(len(records)))
 		ix.metrics.WAL.RecordRotation()
-		tr.Note("rotate", int64(gen), int64(len(records)), 0)
+		tr.Note("rotate", int64(g.N), int64(len(records)), 0)
 	}
 	folded.epoch = ix.epochs.Add(1)
 	next, _, _, _ := ix.fastChain(folded, suffix)

@@ -59,7 +59,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -239,13 +238,12 @@ type Index struct {
 
 	// log, when non-nil, is the durable write-ahead log every mutation is
 	// appended to (and fsynced) before its snapshot publishes. Guarded by
-	// writeMu; walDir/walFsys remember where and through which filesystem
-	// the log's generations commit. walRecords counts records appended to
-	// the current log file, the rotation trigger for slow-path-heavy
-	// workloads.
+	// writeMu; walGen is the committed generation it sits beside (where,
+	// and through which filesystem, the next generation commits).
+	// walRecords counts records appended to the current log file, the
+	// rotation trigger for slow-path-heavy workloads.
 	log        *wal.Log
-	walDir     string
-	walFsys    faultinject.FS
+	walGen     *colstore.Gen
 	walRecords atomic.Int64
 
 	// compactMu serializes compactions (background and explicit); the
@@ -469,10 +467,7 @@ const (
 	fileCorpusNames = "corpus.names"
 )
 
-const (
-	indexMetaMagic   = "XKWMETA1\n" // legacy v1: no footer, no corpus file
-	indexMetaMagicV2 = "XKWMETA2\n"
-)
+const indexMetaMagicV2 = "XKWMETA2\n"
 
 // Save persists the index directory — the column store blobs, the source
 // document, the JDewey numbering (which after incremental mutations is no
@@ -486,11 +481,11 @@ func (ix *Index) Save(dir string) error {
 
 // saveFS writes one complete generation — the column store's three files
 // plus document.xml, index.meta, and any extra files — then publishes it
-// with the single CommitGen rename. It is the injection point of the
-// crash tests.
+// with the single Commit rename. It is the injection point of the crash
+// tests.
 func (ix *Index) saveFS(dir string, fsys faultinject.FS, extra map[string][]byte) error {
 	ix.writeMu.Lock()
-	ontoWAL := ix.log != nil && dir == ix.walDir
+	ontoWAL := ix.log != nil && dir == ix.walGen.Dir
 	ix.writeMu.Unlock()
 	if ontoWAL {
 		// Saving onto the live WAL directory is exactly a compaction: fold
@@ -507,57 +502,42 @@ func (ix *Index) saveFS(dir string, fsys faultinject.FS, extra map[string][]byte
 	if s.delta != nil {
 		s = ix.materializeOf(s)
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("xmlsearch: save: %w", err)
-	}
-	gen, err := colstore.NextGen(dir)
+	g, err := colstore.BeginGen(dir, fsys)
 	if err != nil {
-		return fmt.Errorf("xmlsearch: save: %w", err)
-	}
-	if err := ix.writeGenFiles(s, dir, gen, fsys, extra); err != nil {
 		return err
 	}
-	if err := colstore.CommitGen(dir, gen, fsys); err != nil {
+	if err := ix.writeGen(s, g, extra); err != nil {
 		return err
 	}
-	colstore.RemoveStaleGens(dir, gen, fsys, fileDocument, fileMeta, fileCorpusNames)
-	return nil
+	return g.Commit()
 }
 
-// writeGenFiles writes the uncommitted files of one generation — the
-// column store's three plus document.xml, index.meta, and any extras —
-// for a fully materialized snapshot. The caller commits (CommitGen) and
-// sweeps stale generations; the compactor shares this with saveFS.
-func (ix *Index) writeGenFiles(s *snapshot, dir string, gen uint64, fsys faultinject.FS, extra map[string][]byte) error {
-	if err := s.store.SaveGen(dir, gen, fsys); err != nil {
+// writeGen writes the files of one uncommitted generation — the column
+// store's three plus document.xml, index.meta, and any extras — for a fully
+// materialized snapshot. The caller commits; saveFS, enableWALFS and the
+// compactor share this.
+func (ix *Index) writeGen(s *snapshot, g *colstore.Gen, extra map[string][]byte) error {
+	if err := s.store.SaveGen(g); err != nil {
 		return err
 	}
 	var xml bytes.Buffer
 	if err := s.doc.WriteXML(&xml); err != nil {
 		return fmt.Errorf("xmlsearch: save: %w", err)
 	}
-	files := []struct {
-		name string
-		data []byte
-	}{
-		{fileDocument, xml.Bytes()},
-		{fileMeta, ix.encodeMeta(s)},
+	if err := g.Write(fileDocument, xml.Bytes()); err != nil {
+		return err
 	}
-	extraNames := make([]string, 0, len(extra))
+	if err := g.Write(fileMeta, ix.encodeMeta(s)); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(extra))
 	for name := range extra {
-		extraNames = append(extraNames, name)
+		names = append(names, name)
 	}
-	sort.Strings(extraNames)
-	for _, name := range extraNames {
-		files = append(files, struct {
-			name string
-			data []byte
-		}{name, extra[name]})
-	}
-	for _, f := range files {
-		path := filepath.Join(dir, colstore.GenName(f.name, gen))
-		if err := fsys.WriteFile(path, colstore.AppendFooter(f.data), 0o644); err != nil {
-			return fmt.Errorf("xmlsearch: save %s: %w", f.name, err)
+	sort.Strings(names)
+	for _, name := range names {
+		if err := g.Write(name, extra[name]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -579,25 +559,23 @@ func (ix *Index) encodeMeta(s *snapshot) []byte {
 	return jd
 }
 
-// parseIndexMeta decodes an index.meta payload (either magic). The node
+// parseIndexMeta decodes an index.meta payload. The node
 // count is bounded by the bytes that could possibly hold that many varints
 // before anything is allocated, every number must fit a nonzero uint32,
 // and bytes after the last varint are rejected — a flipped length byte
 // yields an error, not a huge allocation or a silently misnumbered tree.
 func parseIndexMeta(meta []byte) (elemRank bool, jds []uint32, err error) {
-	if len(meta) < len(indexMetaMagic)+1 ||
-		(string(meta[:len(indexMetaMagic)]) != indexMetaMagic &&
-			string(meta[:len(indexMetaMagicV2)]) != indexMetaMagicV2) {
+	if len(meta) < len(indexMetaMagicV2)+1 || string(meta[:len(indexMetaMagicV2)]) != indexMetaMagicV2 {
 		return false, nil, fmt.Errorf("xmlsearch: load: not an index.meta file")
 	}
-	switch meta[len(indexMetaMagic)] {
+	switch meta[len(indexMetaMagicV2)] {
 	case 0:
 	case 1:
 		elemRank = true
 	default:
-		return false, nil, fmt.Errorf("xmlsearch: load: bad index flags %#x", meta[len(indexMetaMagic)])
+		return false, nil, fmt.Errorf("xmlsearch: load: bad index flags %#x", meta[len(indexMetaMagicV2)])
 	}
-	off := len(indexMetaMagic) + 1
+	off := len(indexMetaMagicV2) + 1
 	count, sz := binary.Uvarint(meta[off:])
 	if sz <= 0 {
 		return false, nil, fmt.Errorf("xmlsearch: load: truncated numbering header")
@@ -628,39 +606,35 @@ func parseIndexMeta(meta []byte) (elemRank bool, jds []uint32, err error) {
 // before saving. Damage to individual term lists degrades only those terms
 // (see Health); damage to the metadata files is a clean error here.
 func Load(dir string) (*Index, error) {
-	store, err := colstore.Open(dir)
-	if err != nil {
-		return nil, err
+	if IsShardedDir(dir) {
+		return nil, fmt.Errorf("xmlsearch: load: %s is a sharded index directory: open it with LoadSharded", dir)
 	}
-	gen, v2, err := colstore.CurrentGen(dir)
+	g, err := colstore.OpenGen(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	readFile := func(base string) ([]byte, error) {
-		data, err := os.ReadFile(filepath.Join(dir, genFileName(base, gen, v2)))
-		if err != nil {
-			return nil, fmt.Errorf("xmlsearch: load: %w", err)
-		}
-		if v2 {
-			payload, ferr := colstore.StripFooter(data)
-			if ferr != nil {
-				return nil, fmt.Errorf("xmlsearch: load %s: %w", base, ferr)
-			}
-			return payload, nil
-		}
-		return data, nil
-	}
-	docRaw, err := readFile(fileDocument)
+	return loadGen(g)
+}
+
+// loadGen is Load from an already-resolved generation: every file — the
+// store's three, the document, the numbering, the log — comes from g, so a
+// save or compaction committing meanwhile cannot mix generations.
+func loadGen(g *colstore.Gen) (*Index, error) {
+	store, err := colstore.OpenStore(g)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xmlsearch: load: %w", err)
+	}
+	docRaw, err := g.Read(fileDocument)
+	if err != nil {
+		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
 	doc, err := xmltree.Parse(bytes.NewReader(docRaw))
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	meta, err := readFile(fileMeta)
+	meta, err := g.Read(fileMeta)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
 	elemRank, jds, err := parseIndexMeta(meta)
 	if err != nil {
@@ -695,10 +669,8 @@ func Load(dir string) (*Index, error) {
 		m = occur.ExtractN(doc, store.N)
 		ix = newIndex(doc, m, store, enc, cfg)
 	}
-	if v2 {
-		if err := ix.attachWAL(dir, gen); err != nil {
-			return nil, err
-		}
+	if err := ix.attachWAL(g); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
@@ -715,15 +687,15 @@ func Load(dir string) (*Index, error) {
 // mutations were never acknowledged), and a CRC-valid record that fails to
 // re-apply means the directory does not match its log — a load error,
 // never a partially applied index.
-func (ix *Index) attachWAL(dir string, gen uint64) error {
-	path := filepath.Join(dir, wal.FileName(gen))
+func (ix *Index) attachWAL(g *colstore.Gen) error {
+	path := g.Path(wal.Name)
 	if _, err := os.Stat(path); err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	log, res, err := wal.Open(faultinject.OS(), path)
+	log, res, err := wal.Open(g.FS, path)
 	if err != nil {
 		return fmt.Errorf("xmlsearch: load: %w", err)
 	}
@@ -743,54 +715,26 @@ func (ix *Index) attachWAL(dir string, gen uint64) error {
 	ix.metrics.WAL.RecordReplay(len(res.Records), res.QuarantinedBytes)
 	ix.writeMu.Lock()
 	ix.log = log
-	ix.walDir = dir
-	ix.walFsys = faultinject.OS()
+	ix.walGen = g
 	ix.walRecords.Store(int64(len(res.Records)))
 	ix.writeMu.Unlock()
 	return nil
 }
 
-// genFileName resolves a base file name within a loaded index directory:
-// generation-suffixed on v2 layouts, bare on legacy ones.
-func genFileName(base string, gen uint64, v2 bool) string {
-	if v2 {
-		return colstore.GenName(base, gen)
-	}
-	return base
-}
-
 // TermFault is one quarantined keyword in a Health report.
-type TermFault struct {
-	Term string // the normalized keyword
-	Err  string // what its on-disk bytes failed
-}
+type TermFault = colstore.TermFault
 
 // Health is the degradation report of a loaded index. Quarantined keywords
 // read as absent — queries containing them return no results — while every
 // other keyword keeps serving exact results; FileDamage lists file-level
 // corruption not attributable to a single keyword.
-type Health struct {
-	Format      int // 0 in-memory, 1 legacy on-disk, 2 checksummed
-	Terms       int
-	Quarantined []TermFault
-	FileDamage  []string
-}
-
-// Degraded reports whether any damage was detected.
-func (h Health) Degraded() bool { return len(h.Quarantined) > 0 || len(h.FileDamage) > 0 }
+type Health = colstore.Health
 
 // Health eagerly verifies every list in the index (checksums plus
 // structural invariants) and reports what, if anything, is damaged. After
 // Load succeeds on a partially corrupted directory this is how a caller
 // distinguishes a fully intact index from degraded service.
-func (ix *Index) Health() Health {
-	sh := ix.view().store.Health()
-	h := Health{Format: sh.Format, Terms: sh.Terms, FileDamage: sh.FileDamage}
-	for _, q := range sh.Quarantined {
-		h.Quarantined = append(h.Quarantined, TermFault{Term: q.Term, Err: q.Err})
-	}
-	return h
-}
+func (ix *Index) Health() Health { return ix.view().store.Health() }
 
 // --- materialization and adapters ---
 
