@@ -6,9 +6,8 @@
 // the same sweeps at paper scale with tabular output.
 //
 // This file is an external test package (xmlsearch_test): the bench
-// harness itself imports the library (its telemetry smoke exercises the
-// planner and plan cache through the public API), so an in-package test
-// importing bench would be an import cycle.
+// harness itself imports the library, so an in-package test importing
+// bench would be an import cycle.
 package xmlsearch_test
 
 import (

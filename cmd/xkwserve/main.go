@@ -66,7 +66,6 @@ func main() {
 	traceMaxSpans := fs.Int("trace-max-spans", obs.DefaultMaxSpans, "per-trace span retention cap; a stitched scatter past it tail-truncates and counts drops (0 = library default)")
 	mutexFrac := fs.Int("mutexfrac", 0, "mutex profile fraction (0 = off)")
 	blockRate := fs.Int("blockrate", 0, "block profile rate in ns (0 = off)")
-	planCache := fs.Int("plancache", 0, "query-plan cache capacity for engine=auto (0 = default)")
 	maxInflight := fs.Int("max-inflight", 256, "maximum concurrently executing queries (0 = unlimited)")
 	queueLen := fs.Int("queue", 64, "admission wait-queue length beyond max-inflight")
 	defaultTimeout := fs.Duration("default-timeout", 0, "deadline applied to queries without an explicit ?timeout= (0 = none)")
@@ -76,7 +75,7 @@ func main() {
 	qlogMaxFiles := fs.Int("qlog-max-files", qlog.DefaultMaxFiles, "rotated qlog files kept before pruning")
 	fs.Parse(os.Args[1:])
 	if (*indexDir == "") == (*xmlPath == "") {
-		fmt.Fprintln(os.Stderr, "usage: xkwserve (-index DIR | -xml FILE) [-shards N] [-addr :8080] [-slow DUR] [-trace-keep N] [-trace-sample N] [-trace-seed N] [-mutexfrac N] [-blockrate N] [-plancache N] [-max-inflight N] [-queue N] [-default-timeout DUR] [-drain DUR] [-qlog DIR]")
+		fs.Usage()
 		os.Exit(2)
 	}
 
@@ -112,9 +111,6 @@ func main() {
 	ts := obs.NewTraceStore(*traceKeep, *traceSample, *slow, *traceSeed)
 	ts.SetMaxSpans(*traceMaxSpans)
 	ix.SetTraceStore(ts)
-	if *planCache > 0 {
-		ix.SetPlanCacheCapacity(*planCache)
-	}
 	var recorder *qlog.Recorder
 	if *qlogDir != "" {
 		recorder, err = qlog.New(qlog.Options{Dir: *qlogDir, MaxFileBytes: *qlogMaxBytes, MaxFiles: *qlogMaxFiles})
@@ -170,7 +166,6 @@ type server interface {
 	Depth() int
 	SetSlowQueryThreshold(time.Duration)
 	SetTraceStore(*obs.TraceStore)
-	SetPlanCacheCapacity(int)
 	SetQueryLog(*qlog.Recorder)
 }
 

@@ -36,8 +36,8 @@ import (
 // the caller's process.
 //
 // Engine dispatch is a registry lookup (see engines.go): an explicit
-// Algorithm resolves without planning, AlgoAuto consults the cost-based
-// planner through the snapshot-keyed plan cache. A nil request trace —
+// Algorithm resolves without planning, AlgoAuto plans every call with the
+// cost-based planner. A nil request trace —
 // the untraced default — keeps the engines' instrumentation at a single
 // pointer check per site.
 
@@ -292,7 +292,7 @@ func (ix *Index) run(ctx context.Context, req request) (out outcome) {
 			out.n, out.fp, out.meta = snk.n, snk.fp, meta
 			return err
 		}
-		e, _, err := ix.resolveEngine(s, q, req.opt.Algorithm, req.op == opTopK, req.tr)
+		e, err := ix.resolveEngine(s, q, req.opt.Algorithm, req.op == opTopK, req.tr)
 		if err != nil {
 			return err
 		}
@@ -357,56 +357,46 @@ func dropLevel1(rs []Result) []Result {
 }
 
 // resolveEngine picks the engine for a resolved query: a registry lookup
-// for an explicit algorithm (plan == nil), the cost-based planner —
-// through the plan cache — for AlgoAuto.
-func (ix *Index) resolveEngine(s *snapshot, q exec.Query, algo Algorithm, topK bool, tr *obs.Trace) (*queryEngine, *exec.Plan, error) {
+// for an explicit algorithm, the cost-based planner for AlgoAuto.
+func (ix *Index) resolveEngine(s *snapshot, q exec.Query, algo Algorithm, topK bool, tr *obs.Trace) (*queryEngine, error) {
 	sp := tr.Stage(obs.StagePlan)
 	defer tr.End(sp)
 	if algo != AlgoAuto {
 		if e := engines.ForAlgo(int(algo), topK); e != nil {
-			return e, nil, nil
+			return e, nil
 		}
 		if engines.HasAlgo(int(algo)) {
-			return nil, nil, fmt.Errorf("xmlsearch: algorithm %v is top-K only; use TopK", algo)
+			return nil, fmt.Errorf("xmlsearch: algorithm %v is top-K only; use TopK", algo)
 		}
-		return nil, nil, fmt.Errorf("xmlsearch: unknown algorithm %v", algo)
+		return nil, fmt.Errorf("xmlsearch: unknown algorithm %v", algo)
 	}
-	p, _, err := ix.planAuto(s, q, tr)
+	p, err := ix.planAuto(s, q, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e := engines.ByName(p.Engine)
 	if e == nil {
-		return nil, nil, fmt.Errorf("xmlsearch: planned engine %q is not registered", p.Engine)
+		return nil, fmt.Errorf("xmlsearch: planned engine %q is not registered", p.Engine)
 	}
-	return e, p, nil
+	return e, nil
 }
 
 // planAuto returns the cost-based plan for the query against the pinned
-// snapshot, consulting the generation-keyed plan cache first. The
-// reported hit tells whether planning was skipped entirely.
-func (ix *Index) planAuto(s *snapshot, q exec.Query, tr *obs.Trace) (*exec.Plan, bool, error) {
-	key := exec.CacheKey(q.Keywords, q.Semantics, exec.KBucket(q.K), s.gen)
-	if p := ix.plans.Get(key); p != nil {
-		if tr != nil {
-			tr.PlanSwitch("auto:"+p.Engine+" (cached)", 0, len(q.Keywords), q.K)
-		}
-		return p, true, nil
-	}
-	// Cost the k-bucket, not the exact k, so the cached plan is reusable
-	// by every query in the bucket; the engine still runs the exact k.
+// snapshot. Planning reads only lexicon row counts, so every call plans.
+func (ix *Index) planAuto(s *snapshot, q exec.Query, tr *obs.Trace) (*exec.Plan, error) {
+	// Cost the k-bucket, not the exact k, so nearby k values plan alike;
+	// the engine still runs the exact k.
 	bq := q
 	bq.K = exec.KBucket(q.K)
 	p := engines.Plan(bq, s.planStats(q.Keywords), s.gen)
 	if p == nil {
-		return nil, false, fmt.Errorf("xmlsearch: no registered engine can serve this query")
+		return nil, fmt.Errorf("xmlsearch: no registered engine can serve this query")
 	}
 	ix.metrics.Planner.RecordPlan(true)
-	ix.plans.Put(key, p)
 	if tr != nil {
 		tr.PlanSwitch("auto:"+p.Engine, 0, len(q.Keywords), q.K)
 	}
-	return p, false, nil
+	return p, nil
 }
 
 // planStats reads the planner's statistics from the snapshot: per-keyword

@@ -46,7 +46,7 @@ type Explanation struct {
 
 	// Plan is the query plan: which engine the planner resolved, and —
 	// when the query was explained under AlgoAuto — every candidate
-	// engine's cost estimate and whether the plan came from the cache.
+	// engine's cost estimate.
 	Plan *QueryPlan
 
 	// Complete evaluation (K == 0).

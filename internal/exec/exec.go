@@ -2,13 +2,12 @@
 // through: an engine registry describing each evaluator's capabilities
 // and cost model, a cost-based planner that picks an engine from lexicon
 // statistics (the paper's Section III-C decisions lifted to the query
-// level), and a bounded plan cache keyed on the query shape and the
-// snapshot generation so hot repeated queries skip statistics lookup and
-// planning entirely.
+// level). Planning decodes no list, so the facade plans every AlgoAuto
+// call afresh.
 //
 // The package is generic over the snapshot type S and the result type R
 // of the hosting facade, so the registry's Run closures are fully typed
-// while the planning core (Plan, PlanCache, the cost heuristics) stays
+// while the planning core (Plan and the cost heuristics) stays
 // type-free and unit-testable on synthetic statistics alone.
 package exec
 
@@ -89,7 +88,7 @@ type Stats struct {
 // Engine is one registered evaluator: its identity, what it can serve,
 // its metrics slot, its cost estimate, and the closures that run it over
 // a pinned snapshot. Run receives the actual K of the query (which may
-// differ from the bucketed K a cached plan was costed with).
+// differ from the bucketed K the plan was costed with).
 type Engine[S, R any] struct {
 	Name string
 	// Algo is the facade's Algorithm value this engine serves explicitly.

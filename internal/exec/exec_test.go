@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -189,131 +188,6 @@ func TestKBucket(t *testing.T) {
 	}
 	if got := KBucket(math.MaxInt); got != 1<<30 {
 		t.Errorf("KBucket(MaxInt) = %d, want saturation at %d", got, 1<<30)
-	}
-}
-
-func TestCacheKeyDistinguishes(t *testing.T) {
-	base := CacheKey([]string{"a", "b"}, 0, 16, 1)
-	for name, other := range map[string]string{
-		"keyword order": CacheKey([]string{"b", "a"}, 0, 16, 1),
-		"semantics":     CacheKey([]string{"a", "b"}, 1, 16, 1),
-		"k-bucket":      CacheKey([]string{"a", "b"}, 0, 32, 1),
-		"generation":    CacheKey([]string{"a", "b"}, 0, 16, 2),
-		// The NUL separator keeps concatenations apart: ["ab"] vs ["a","b"].
-		"boundaries": CacheKey([]string{"ab"}, 0, 16, 1),
-	} {
-		if other == base {
-			t.Errorf("%s: key collision %q", name, base)
-		}
-	}
-	if CacheKey([]string{"a", "b"}, 0, 16, 1) != base {
-		t.Error("identical inputs produced different keys")
-	}
-}
-
-func TestPlanCacheLRU(t *testing.T) {
-	c := NewPlanCache(2)
-	var pc obs.PlannerCounters
-	c.SetObs(&pc)
-	p1, p2, p3 := &Plan{Engine: "e1", Generation: 1}, &Plan{Engine: "e2", Generation: 1}, &Plan{Engine: "e3", Generation: 1}
-	c.Put("k1", p1)
-	c.Put("k2", p2)
-	if got := c.Get("k1"); got != p1 {
-		t.Fatalf("Get(k1) = %v", got)
-	}
-	// k1 is now most recent; inserting k3 evicts k2.
-	c.Put("k3", p3)
-	if c.Get("k2") != nil {
-		t.Fatal("k2 survived eviction")
-	}
-	if c.Get("k1") != p1 || c.Get("k3") != p3 {
-		t.Fatal("LRU evicted the wrong entry")
-	}
-	s := pc.Snapshot()
-	if s.CacheEvictions != 1 {
-		t.Fatalf("evictions = %d, want 1", s.CacheEvictions)
-	}
-	if s.CacheHits != 3 || s.CacheMisses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 3/1", s.CacheHits, s.CacheMisses)
-	}
-	if ratio := s.CacheHitRatio; math.Abs(ratio-0.75) > 1e-9 {
-		t.Fatalf("hit ratio = %v, want 0.75", ratio)
-	}
-}
-
-func TestPlanCacheInvalidate(t *testing.T) {
-	c := NewPlanCache(8)
-	var pc obs.PlannerCounters
-	c.SetObs(&pc)
-	c.Put("old1", &Plan{Generation: 1})
-	c.Put("old2", &Plan{Generation: 1})
-	c.Put("cur", &Plan{Generation: 2})
-	c.Invalidate(2)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after invalidate, want 1", c.Len())
-	}
-	if c.Get("cur") == nil {
-		t.Fatal("current-generation plan was invalidated")
-	}
-	if n := pc.Snapshot().CacheInvalidations; n != 2 {
-		t.Fatalf("invalidations = %d, want 2", n)
-	}
-}
-
-func TestPlanCacheSetCapacityEvicts(t *testing.T) {
-	c := NewPlanCache(8)
-	for i := 0; i < 8; i++ {
-		c.Put(fmt.Sprintf("k%d", i), &Plan{Generation: 1})
-	}
-	c.SetCapacity(3)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d after SetCapacity(3)", c.Len())
-	}
-	// The three survivors are the most recently used.
-	for i := 5; i < 8; i++ {
-		if c.Get(fmt.Sprintf("k%d", i)) == nil {
-			t.Fatalf("k%d evicted, want retained", i)
-		}
-	}
-}
-
-// TestPlanCacheNilObs: every counter path must be nil-safe — the cache is
-// usable before SetObs is called.
-func TestPlanCacheNilObs(t *testing.T) {
-	c := NewPlanCache(1)
-	c.Get("miss")
-	c.Put("a", &Plan{Generation: 1})
-	c.Get("a")
-	c.Put("b", &Plan{Generation: 2}) // evicts a
-	c.Invalidate(3)                  // drops b
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
-func TestPlanCacheConcurrent(t *testing.T) {
-	c := NewPlanCache(16)
-	var pc obs.PlannerCounters
-	c.SetObs(&pc)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				key := fmt.Sprintf("k%d", (g*31+i)%40)
-				if c.Get(key) == nil {
-					c.Put(key, &Plan{Generation: int64(i % 3)})
-				}
-				if i%97 == 0 {
-					c.Invalidate(int64(i % 3))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("cache grew past capacity: %d", c.Len())
 	}
 }
 

@@ -3,8 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // EngineCost is one engine's estimated cost for a planned query, in
@@ -15,9 +13,7 @@ type EngineCost struct {
 }
 
 // Plan is a planned query: the resolved keywords and their statistics,
-// the engine the planner chose, and why. Plans are immutable once built
-// and safe to share between goroutines (the plan cache hands the same
-// *Plan to every hit).
+// the engine the planner chose, and why. Plans are immutable once built.
 type Plan struct {
 	Keywords  []string     `json:"keywords"`
 	Semantics int          `json:"semantics"`
@@ -26,8 +22,7 @@ type Plan struct {
 	Engine    string       `json:"engine"`
 	Reason    string       `json:"reason"`
 	Costs     []EngineCost `json:"costs"`
-	// Generation is the snapshot generation the statistics were read from;
-	// the cache drops the plan when a mutation publishes a new generation.
+	// Generation is the snapshot generation the statistics were read from.
 	Generation int64 `json:"generation"`
 	// Auto records that the engine was chosen by the cost model rather
 	// than an explicit SearchOptions.Algorithm.
@@ -73,20 +68,6 @@ func (r *Registry[S, R]) Plan(q Query, st Stats, gen int64) *Plan {
 	p.Reason = fmt.Sprintf("cost %.4g over %d candidate(s); rows min=%d total=%d est-results=%d",
 		best, len(p.Costs), minRows, totalRows, int(estResults(st)))
 	return p
-}
-
-// TrivialPlan records an explicitly selected engine without costing the
-// alternatives; Reason documents that no choice was made.
-func TrivialPlan[S, R any](e *Engine[S, R], q Query, st Stats, gen int64) *Plan {
-	return &Plan{
-		Keywords:   q.Keywords,
-		Semantics:  q.Semantics,
-		K:          q.K,
-		Lists:      st.Lists,
-		Engine:     e.Name,
-		Reason:     "explicitly selected",
-		Generation: gen,
-	}
 }
 
 // --- cost model ---
@@ -204,7 +185,7 @@ func rowTotal(st Stats) int {
 	return total
 }
 
-// KBucket buckets k for cache keying so nearby k values share one plan:
+// KBucket buckets k for costing so nearby k values plan alike:
 // 0 stays 0 (complete evaluation); positive k rounds up to the next
 // power of two, saturating well below overflow.
 func KBucket(k int) int {
@@ -216,21 +197,4 @@ func KBucket(k int) int {
 		b <<= 1
 	}
 	return b
-}
-
-// CacheKey builds the plan-cache key for a resolved query: the keywords
-// (order-sensitive, NUL-separated), semantics, k-bucket, and snapshot
-// generation.
-func CacheKey(keywords []string, semantics, kBucket int, gen int64) string {
-	var b strings.Builder
-	for _, w := range keywords {
-		b.WriteString(w)
-		b.WriteByte(0)
-	}
-	b.WriteString(strconv.Itoa(semantics))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(kBucket))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(gen, 10))
-	return b.String()
 }

@@ -25,7 +25,7 @@ const (
 	// shard subtree, the wait for a worker-pool slot.
 	StageAdmission = "admission"
 	// StagePlan is engine resolution: registry lookup, or cost-based
-	// planning through the plan cache for AlgoAuto.
+	// planning for AlgoAuto.
 	StagePlan = "plan"
 	// StageOpen is inverted-list resolution: memo/cache lookups and
 	// extent capture (the decode of cache misses nests inside as its own

@@ -180,10 +180,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 	}{
 		{"xkw_planner_plans_total", "Query plans built (trivial or cost-based).", pl.Plans},
 		{"xkw_planner_auto_plans_total", "Query plans built by the cost model (AlgoAuto).", pl.AutoPlans},
-		{"xkw_plan_cache_hits_total", "Plan-cache hits.", pl.CacheHits},
-		{"xkw_plan_cache_misses_total", "Plan-cache misses.", pl.CacheMisses},
-		{"xkw_plan_cache_evictions_total", "Plans evicted by the plan-cache LRU bound.", pl.CacheEvictions},
-		{"xkw_plan_cache_invalidations_total", "Plans dropped by mutation publishes.", pl.CacheInvalidations},
 	}
 	for _, c := range plannerCounters {
 		header(w, c.name, c.help, "counter")
@@ -249,8 +245,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 		{"xkw_store_cache_lists", "Decoded lists currently held by the cache.", float64(g.CacheLists)},
 		{"xkw_store_cache_bytes", "Decoded bytes currently held by the cache.", float64(g.CacheBytes)},
 		{"xkw_store_cache_hit_ratio", "Decoded-list cache hit ratio since process start.", st.CacheHitRatio},
-		{"xkw_plan_cache_entries", "Plans currently held by the plan cache.", float64(g.PlanCacheEntries)},
-		{"xkw_plan_cache_hit_ratio", "Plan-cache hit ratio since process start.", pl.CacheHitRatio},
 		{"xkw_delta_ops", "Mutations held by the published snapshot's delta segment.", float64(g.DeltaOps)},
 		{"xkw_delta_terms", "Distinct terms overlaid by the published delta segment.", float64(g.DeltaTerms)},
 		{"xkw_wal_records", "Records in the live write-ahead log awaiting the next compaction.", float64(g.WALRecords)},
@@ -267,10 +261,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 		header(w, "xkw_shard_pinned_queries", "Per-shard in-flight queries holding a snapshot pin.", "gauge")
 		for _, sg := range s.ShardGauges {
 			fmt.Fprintf(w, "xkw_shard_pinned_queries{shard=\"%d\"} %d\n", sg.ID, sg.PinnedQueries)
-		}
-		header(w, "xkw_shard_plan_cache_entries", "Per-shard plan-cache occupancy.", "gauge")
-		for _, sg := range s.ShardGauges {
-			fmt.Fprintf(w, "xkw_shard_plan_cache_entries{shard=\"%d\"} %d\n", sg.ID, sg.PlanCacheEntries)
 		}
 	}
 	p := s.Process

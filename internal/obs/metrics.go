@@ -239,16 +239,11 @@ func (q *QLogCounters) Snapshot() QLogSnapshot {
 	}
 }
 
-// PlannerCounters accumulates planner and plan-cache counters. A
-// *PlannerCounters is installed on an exec.PlanCache with SetObs; a nil
-// receiver disables recording with a single pointer check.
+// PlannerCounters accumulates planner counters; a nil receiver disables
+// recording with a single pointer check.
 type PlannerCounters struct {
-	Plans              Counter // plans built (trivial or cost-based)
-	AutoPlans          Counter // plans built by the cost model (AlgoAuto)
-	CacheHits          Counter // plan-cache hits
-	CacheMisses        Counter // plan-cache misses (a plan build follows)
-	CacheEvictions     Counter // plans evicted by the LRU bound
-	CacheInvalidations Counter // plans dropped by mutation publishes
+	Plans     Counter // plans built (trivial or cost-based)
+	AutoPlans Counter // plans built by the cost model (AlgoAuto)
 }
 
 // RecordPlan notes one plan build; auto marks a cost-based choice.
@@ -263,49 +258,14 @@ func (p *PlannerCounters) RecordPlan(auto bool) {
 	}
 }
 
-// RecordCacheHit notes one plan-cache hit. Nil-safe.
-func (p *PlannerCounters) RecordCacheHit() {
-	if p == nil {
-		return
-	}
-	p.CacheHits.Inc()
-}
-
-// RecordCacheMiss notes one plan-cache miss. Nil-safe.
-func (p *PlannerCounters) RecordCacheMiss() {
-	if p == nil {
-		return
-	}
-	p.CacheMisses.Inc()
-}
-
-// RecordCacheEviction notes one plan evicted by the LRU bound. Nil-safe.
-func (p *PlannerCounters) RecordCacheEviction() {
-	if p == nil {
-		return
-	}
-	p.CacheEvictions.Inc()
-}
-
-// RecordCacheInvalidations notes n plans dropped because a mutation
-// published a new snapshot generation. Nil-safe.
-func (p *PlannerCounters) RecordCacheInvalidations(n int) {
-	if p == nil || n == 0 {
-		return
-	}
-	p.CacheInvalidations.Add(int64(n))
-}
-
-// PlannerSnapshot is a point-in-time copy of PlannerCounters, with the
-// cache hit ratio derived at snapshot time (0 with no lookups).
+// PlannerSnapshot is a point-in-time copy of PlannerCounters.
 type PlannerSnapshot struct {
-	Plans              int64   `json:"plans"`
-	AutoPlans          int64   `json:"auto_plans"`
-	CacheHits          int64   `json:"cache_hits"`
-	CacheMisses        int64   `json:"cache_misses"`
-	CacheEvictions     int64   `json:"cache_evictions"`
-	CacheInvalidations int64   `json:"cache_invalidations"`
-	CacheHitRatio      float64 `json:"cache_hit_ratio"`
+	Plans     int64 `json:"plans"`
+	AutoPlans int64 `json:"auto_plans"`
+	// CacheHits and CacheMisses are always 0 and remain only so existing
+	// callers compile: AlgoAuto plans every call, there is no plan cache.
+	CacheHits   int64 `json:"-"`
+	CacheMisses int64 `json:"-"`
 }
 
 // Snapshot copies the planner counters (zero snapshot for nil).
@@ -313,18 +273,7 @@ func (p *PlannerCounters) Snapshot() PlannerSnapshot {
 	if p == nil {
 		return PlannerSnapshot{}
 	}
-	out := PlannerSnapshot{
-		Plans:              p.Plans.Load(),
-		AutoPlans:          p.AutoPlans.Load(),
-		CacheHits:          p.CacheHits.Load(),
-		CacheMisses:        p.CacheMisses.Load(),
-		CacheEvictions:     p.CacheEvictions.Load(),
-		CacheInvalidations: p.CacheInvalidations.Load(),
-	}
-	if lookups := out.CacheHits + out.CacheMisses; lookups > 0 {
-		out.CacheHitRatio = float64(out.CacheHits) / float64(lookups)
-	}
-	return out
+	return PlannerSnapshot{Plans: p.Plans.Load(), AutoPlans: p.AutoPlans.Load()}
 }
 
 // Gauges are point-in-time values (not cumulative counters) sampled from
@@ -342,8 +291,6 @@ type Gauges struct {
 	// CacheLists and CacheBytes are the decoded-list cache occupancy.
 	CacheLists int64 `json:"cache_lists"`
 	CacheBytes int64 `json:"cache_bytes"`
-	// PlanCacheEntries is the plan cache's current occupancy.
-	PlanCacheEntries int64 `json:"plan_cache_entries"`
 	// DeltaOps and DeltaTerms are the published snapshot's in-memory delta
 	// segment size: appended operations not yet folded into a base
 	// generation, and the inverted lists the delta overlays. Both are 0
@@ -496,14 +443,12 @@ func (c *StageCounters) Snapshot() AttributionSnapshot {
 }
 
 // ShardGauge is the per-shard gauge row of a sharded index: each shard's
-// published snapshot generation, in-flight pins, and plan-cache
-// occupancy, sampled at snapshot time from a source installed with
-// SetShardSource.
+// published snapshot generation and in-flight pins, sampled at snapshot
+// time from a source installed with SetShardSource.
 type ShardGauge struct {
-	ID               int   `json:"id"`
-	SnapshotGen      int64 `json:"snapshot_gen"`
-	PinnedQueries    int64 `json:"pinned_queries"`
-	PlanCacheEntries int64 `json:"plan_cache_entries"`
+	ID            int   `json:"id"`
+	SnapshotGen   int64 `json:"snapshot_gen"`
+	PinnedQueries int64 `json:"pinned_queries"`
 }
 
 // shardSource supplies live per-shard gauge rows at snapshot time.

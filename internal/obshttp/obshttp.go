@@ -438,7 +438,7 @@ type searchResponse struct {
 	Partial     bool    `json:"partial,omitempty"`
 	UnseenBound float64 `json:"unseen_bound,omitempty"`
 	// Plan is the query plan the evaluation resolved through (always the
-	// trivially planned engine for explicit ?engine= values; the cached
+	// trivially planned engine for explicit ?engine= values; the
 	// cost-based choice for engine=auto).
 	Plan *xmlsearch.QueryPlan `json:"plan,omitempty"`
 }

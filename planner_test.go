@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -126,44 +127,10 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
-func TestPlanCacheHitOnRepeat(t *testing.T) {
-	idx := mustIndex(t, plannerTestDoc)
-	opt := SearchOptions{Algorithm: AlgoAuto}
-	if _, err := idx.TopK("sensor network", 5, opt); err != nil {
-		t.Fatal(err)
-	}
-	p := idx.Stats().Planner
-	if p.CacheMisses != 1 || p.CacheHits != 0 {
-		t.Fatalf("after first query: hits=%d misses=%d", p.CacheHits, p.CacheMisses)
-	}
-	if p.AutoPlans != 1 {
-		t.Fatalf("auto plans = %d, want 1", p.AutoPlans)
-	}
-	if _, err := idx.TopK("sensor network", 5, opt); err != nil {
-		t.Fatal(err)
-	}
-	// k=7 buckets to 8, like k=5: same cached plan.
-	if _, err := idx.TopK("sensor network", 7, opt); err != nil {
-		t.Fatal(err)
-	}
-	p = idx.Stats().Planner
-	if p.CacheHits != 2 || p.CacheMisses != 1 {
-		t.Fatalf("after repeats: hits=%d misses=%d", p.CacheHits, p.CacheMisses)
-	}
-	// A different k-bucket, semantics, or keyword set is a new plan.
-	if _, err := idx.TopK("sensor network", 100, opt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.Search("sensor network", SearchOptions{Algorithm: AlgoAuto, Semantics: SLCA}); err != nil {
-		t.Fatal(err)
-	}
-	p = idx.Stats().Planner
-	if p.CacheMisses != 3 {
-		t.Fatalf("distinct shapes: misses=%d, want 3", p.CacheMisses)
-	}
-}
-
-func TestPlanCacheMissAfterMutation(t *testing.T) {
+// TestPlanFollowsMutation: AlgoAuto plans every call against the snapshot
+// it pins, so the first plan after a mutation reads the new generation's
+// statistics.
+func TestPlanFollowsMutation(t *testing.T) {
 	idx := mustIndex(t, plannerTestDoc)
 	opt := SearchOptions{Algorithm: AlgoAuto}
 	run := func() {
@@ -174,25 +141,14 @@ func TestPlanCacheMissAfterMutation(t *testing.T) {
 	}
 	run()
 	run()
-	before := idx.Stats().Planner
-	if before.CacheHits != 1 {
-		t.Fatalf("warm-up hits = %d", before.CacheHits)
+	before, err := idx.Plan("sensor network", 5, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := idx.InsertElement("1.1", 0, "note", "sensor"); err != nil {
 		t.Fatal(err)
 	}
 	run()
-	after := idx.Stats().Planner
-	if after.CacheHits != before.CacheHits {
-		t.Fatalf("post-mutation query hit a stale plan (hits %d -> %d)", before.CacheHits, after.CacheHits)
-	}
-	if after.CacheMisses != before.CacheMisses+1 {
-		t.Fatalf("post-mutation misses = %d, want %d", after.CacheMisses, before.CacheMisses+1)
-	}
-	if after.CacheInvalidations == 0 {
-		t.Fatal("publish did not invalidate cached plans")
-	}
-	// The rebuilt plan reflects the new generation.
 	p, err := idx.Plan("sensor network", 5, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -200,35 +156,21 @@ func TestPlanCacheMissAfterMutation(t *testing.T) {
 	if p.Generation != 2 {
 		t.Fatalf("plan generation = %d, want 2", p.Generation)
 	}
-}
-
-func TestPlanCacheBoundedUnderChurn(t *testing.T) {
-	idx := mustIndex(t, plannerTestDoc)
-	idx.SetPlanCacheCapacity(4)
-	opt := SearchOptions{Algorithm: AlgoAuto}
-	words := []string{"sensor", "network", "keyword", "query", "ranking", "xml", "search", "design"}
-	for i := 0; i < 40; i++ {
-		q := words[i%len(words)] + " " + words[(i/2+3)%len(words)]
-		if _, err := idx.TopK(q, 1+i%9, opt); err != nil {
-			t.Fatal(err)
-		}
+	if want := before.Lists[0].Rows + 1; p.Lists[0].Keyword != "sensor" || p.Lists[0].Rows != want {
+		t.Fatalf("post-mutation lists = %+v, want sensor rows %d", p.Lists, want)
 	}
-	s := idx.Stats()
-	if s.Gauges.PlanCacheEntries > 4 {
-		t.Fatalf("plan cache holds %d entries over capacity 4", s.Gauges.PlanCacheEntries)
-	}
-	if s.Planner.CacheEvictions == 0 {
-		t.Fatal("churn past capacity recorded no evictions")
+	// Three TopK calls and two Plan calls, each planned once.
+	if n := idx.Stats().Planner.AutoPlans; n != 5 {
+		t.Fatalf("auto plans = %d, want 5", n)
 	}
 }
 
-// TestPlanCacheConcurrentStress hammers prepared and ad-hoc AlgoAuto
+// TestAutoPlanConcurrentStress hammers prepared and ad-hoc AlgoAuto
 // queries concurrently with mutations; run under -race it checks the
-// planner, cache, and generation plumbing for data races, and that no
+// planner and generation plumbing for data races, and that no
 // interleaving produces a query error.
-func TestPlanCacheConcurrentStress(t *testing.T) {
+func TestAutoPlanConcurrentStress(t *testing.T) {
 	idx := mustIndex(t, plannerTestDoc)
-	idx.SetPlanCacheCapacity(8)
 	opt := SearchOptions{Algorithm: AlgoAuto}
 	pq, err := idx.Prepare("sensor network", opt)
 	if err != nil {
@@ -375,13 +317,14 @@ func TestQueryPlanShape(t *testing.T) {
 		t.Fatalf("plan lists = %+v", p.Lists)
 	}
 
-	// Auto: costed candidates, cache-hit flag flips on the second call.
+	// Auto: costed candidates. A plan depends only on the pinned
+	// snapshot's statistics, so a second call plans identically.
 	opt := SearchOptions{Algorithm: AlgoAuto}
 	p, err = idx.Plan("sensor network", 5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Auto || len(p.Costs) < 2 || p.CacheHit {
+	if !p.Auto || len(p.Costs) < 2 {
 		t.Fatalf("first auto plan = %+v", p)
 	}
 	found := false
@@ -393,13 +336,15 @@ func TestQueryPlanShape(t *testing.T) {
 	if !found {
 		t.Fatalf("chosen engine %q missing from costs %+v", p.Engine, p.Costs)
 	}
-	p, err = idx.Plan("sensor network", 5, opt)
+	again, err := idx.Plan("sensor network", 5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.CacheHit {
-		t.Fatal("second auto plan did not hit the cache")
+	if again.Engine != p.Engine || again.Reason != p.Reason || again.Generation != p.Generation ||
+		!reflect.DeepEqual(again.Costs, p.Costs) || !reflect.DeepEqual(again.Lists, p.Lists) {
+		t.Fatalf("second plan on the same snapshot differs:\n first %+v\nsecond %+v", p, again)
 	}
+	p = again
 	for _, want := range []string{"plan: engine=", "reason:", "lists:", "costs:"} {
 		if !strings.Contains(p.String(), want) {
 			t.Fatalf("plan rendering %q missing %q", p.String(), want)
@@ -416,9 +361,9 @@ func TestQueryPlanShape(t *testing.T) {
 	}
 }
 
-// TestExplicitAlgoSkipsPlanCache: only AlgoAuto touches the plan cache;
-// the five explicit algorithms stay on the lock-free fast path.
-func TestExplicitAlgoSkipsPlanCache(t *testing.T) {
+// TestExplicitAlgoDoesNotPlan: only AlgoAuto runs the cost model; the
+// explicit algorithms resolve by registry lookup alone.
+func TestExplicitAlgoDoesNotPlan(t *testing.T) {
 	idx := mustIndex(t, plannerTestDoc)
 	for _, algo := range []Algorithm{AlgoJoin, AlgoStack, AlgoIndexLookup} {
 		if _, err := idx.Search("sensor network", SearchOptions{Algorithm: algo}); err != nil {
@@ -431,9 +376,6 @@ func TestExplicitAlgoSkipsPlanCache(t *testing.T) {
 		}
 	}
 	p := idx.Stats().Planner
-	if p.CacheHits != 0 || p.CacheMisses != 0 {
-		t.Fatalf("explicit algorithms touched the plan cache: hits=%d misses=%d", p.CacheHits, p.CacheMisses)
-	}
 	if p.AutoPlans != 0 {
 		t.Fatalf("explicit algorithms built auto plans: %d", p.AutoPlans)
 	}

@@ -10,11 +10,9 @@ import (
 
 // Prepared queries and the public face of the query planner. Prepare
 // tokenizes and validates a query once; each execution of the returned
-// PreparedQuery then skips tokenization, and — for AlgoAuto — resolves
-// its engine through the snapshot-keyed plan cache, so a hot repeated
-// query pays neither statistics lookup nor cost estimation. The same
-// cache also serves ad-hoc Search/TopK/TopKStream calls with AlgoAuto;
-// Prepare just shaves the per-call tokenization off on top.
+// PreparedQuery then skips tokenization and, like an ad-hoc call, pins
+// the current snapshot and — for AlgoAuto — plans from its lexicon
+// statistics (no list is decoded to plan).
 
 // PreparedQuery is a tokenized, validated query bound to its Index or
 // Sharded. It is immutable and safe for concurrent use by any number of
@@ -99,17 +97,15 @@ type QueryPlan struct {
 	Lists     []ListInfo `json:"lists"`
 	Semantics Semantics  `json:"semantics"`
 	// K is the k-bucket the plan was costed for (0 = complete); nearby k
-	// values share one cached plan.
+	// values plan alike.
 	K      int    `json:"k"`
 	Engine string `json:"engine"`
 	Reason string `json:"reason"`
 	// Costs holds every candidate engine's estimate, cheapest chosen;
 	// empty for an explicitly selected engine (nothing was costed).
 	Costs []PlanCost `json:"costs,omitempty"`
-	// Auto reports a cost-based choice; CacheHit whether this plan came
-	// from the plan cache rather than being built.
-	Auto     bool `json:"auto"`
-	CacheHit bool `json:"cache_hit"`
+	// Auto reports a cost-based choice.
+	Auto bool `json:"auto"`
 	// Generation is the snapshot generation the plan was built against.
 	Generation int64 `json:"generation"`
 }
@@ -117,7 +113,7 @@ type QueryPlan struct {
 // String renders the plan in a compact human-readable form.
 func (p *QueryPlan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan: engine=%s auto=%v cached=%v gen=%d k=%d %v\n", p.Engine, p.Auto, p.CacheHit, p.Generation, p.K, p.Semantics)
+	fmt.Fprintf(&b, "plan: engine=%s auto=%v gen=%d k=%d %v\n", p.Engine, p.Auto, p.Generation, p.K, p.Semantics)
 	fmt.Fprintf(&b, "  reason: %s\n", p.Reason)
 	b.WriteString("  lists:")
 	for _, l := range p.Lists {
@@ -135,8 +131,8 @@ func (p *QueryPlan) String() string {
 }
 
 // Plan returns the plan a query would execute with: the trivially
-// resolved engine for an explicit opt.Algorithm, the cost-based (and
-// cached) choice for AlgoAuto. k = 0 plans the complete evaluation.
+// resolved engine for an explicit opt.Algorithm, the cost-based choice
+// for AlgoAuto. k = 0 plans the complete evaluation.
 // Planning a query never runs it.
 func (ix *Index) Plan(query string, k int, opt SearchOptions) (*QueryPlan, error) {
 	keywords := Keywords(query)
@@ -151,7 +147,7 @@ func (ix *Index) planFor(keywords []string, k int, opt SearchOptions) (*QueryPla
 	s := ix.view()
 	q := exec.Query{Keywords: keywords, Semantics: int(opt.Semantics), K: k, Decay: effectiveDecay(opt.Decay)}
 	if opt.Algorithm != AlgoAuto {
-		e, _, err := ix.resolveEngine(s, q, opt.Algorithm, k > 0, nil)
+		e, err := ix.resolveEngine(s, q, opt.Algorithm, k > 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +163,7 @@ func (ix *Index) planFor(keywords []string, k int, opt SearchOptions) (*QueryPla
 		out.Lists = listInfos(s, keywords)
 		return out, nil
 	}
-	p, hit, err := ix.planAuto(s, q, nil)
+	p, err := ix.planAuto(s, q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +174,6 @@ func (ix *Index) planFor(keywords []string, k int, opt SearchOptions) (*QueryPla
 		Engine:     p.Engine,
 		Reason:     p.Reason,
 		Auto:       p.Auto,
-		CacheHit:   hit,
 		Generation: p.Generation,
 	}
 	for _, l := range p.Lists {

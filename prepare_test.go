@@ -8,29 +8,11 @@ import (
 	"repro/internal/testutil"
 )
 
-// BenchmarkPlanCold measures building an AlgoAuto plan from lexicon
-// statistics with the plan cache emptied every iteration; BenchmarkPlanCached
-// is the same query answered from the cache. The repeated-query speedup the
-// prepared-query layer claims is the ratio of the two.
-func BenchmarkPlanCold(b *testing.B) {
+// BenchmarkPlan measures building an AlgoAuto plan from lexicon
+// statistics: the work every AlgoAuto call does before its engine runs.
+func BenchmarkPlan(b *testing.B) {
 	idx, query := planBenchFixture(b)
 	opt := SearchOptions{Algorithm: AlgoAuto}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.plans.Reset()
-		if _, err := idx.Plan(query, 10, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlanCached re-plans the identical query against a warm cache.
-func BenchmarkPlanCached(b *testing.B) {
-	idx, query := planBenchFixture(b)
-	opt := SearchOptions{Algorithm: AlgoAuto}
-	if _, err := idx.Plan(query, 10, opt); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := idx.Plan(query, 10, opt); err != nil {

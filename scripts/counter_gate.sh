@@ -4,9 +4,9 @@
 # Compares two results of `bash benchmark/run.sh --quick --trace 1 --json
 # <file>`, one of the merge base and one of the head, made in the same job.
 # It fails when a machine-independent counter of any workload is more than
-# 5 % worse (all of them are lower-is-better) on head. Identical code
-# repeats these to within 0.01 %, which is why 5 % can fire where a timing
-# threshold cannot. Timings and wal.fsyncs_per_op (4.5 % apart between
+# 1 % worse (all of them are lower-is-better) on head, one threshold for
+# all 13. Identical code repeats these to within 0.02 %, which is why 1 %
+# can fire where a timing threshold cannot. Timings and wal.fsyncs_per_op (4.5 % apart between
 # identical --quick runs) are printed for the reader and never failed on.
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 base.json head.json" >&2; exit 2; }
@@ -31,7 +31,7 @@ report=$(jq -rn --slurpfile base "$1" --slurpfile head "$2" '
   | (if ($gated | index($name)) == null then
        (if $name == "wal.fsyncs_per_op" or ($b[$k].unit | IN("s", "ms", "us"))
         then "note" else empty end)
-     elif $hv == null or $hv > $bv * 1.05 then "FAIL" else "ok  " end) as $verdict
+     elif $hv == null or $hv > $bv * 1.01 then "FAIL" else "ok  " end) as $verdict
   | "\($verdict) \($k) base=\($bv) head=\($hv) (\($delta))"')
 printf '%s\n' "$report"
 
@@ -40,7 +40,7 @@ if ! printf '%s\n' "$report" | grep -qE '^(ok  |FAIL) '; then
 	exit 2
 fi
 if printf '%s\n' "$report" | grep -q '^FAIL '; then
-	echo "counter gate: FAILED, a counter above is more than 5% worse on head" >&2
+	echo "counter gate: FAILED, a counter above is more than 1% worse on head" >&2
 	exit 1
 fi
-echo "counter gate: passed, no gated counter more than 5% worse on head"
+echo "counter gate: passed, no gated counter more than 1% worse on head"

@@ -17,9 +17,8 @@ import (
 )
 
 // Sharded is a searchable index partitioned into N independent shards,
-// each a complete Index (own column store, snapshot, plan cache, and
-// writer lock) over a contiguous run of the document's top-level
-// subtrees. Queries scatter to every shard through a bounded worker pool
+// each a complete Index (own column store, snapshot, and writer lock)
+// over a contiguous run of the document's top-level subtrees. Queries scatter to every shard through a bounded worker pool
 // and gather into one globally ranked answer; the coordinator's merge
 // exchanges its running K-th score against each shard's result stream so
 // shards whose remaining results provably cannot place are cancelled
@@ -162,7 +161,6 @@ func assembleSharded(shards []*Index, counts []int) *Sharded {
 			}
 			g.CacheLists += int64(ix.cache.Len())
 			g.CacheBytes += ix.cache.Bytes()
-			g.PlanCacheEntries += int64(ix.plans.Len())
 		}
 		return g
 	})
@@ -170,10 +168,9 @@ func assembleSharded(shards []*Index, counts []int) *Sharded {
 		out := make([]obs.ShardGauge, len(sh.shards))
 		for i, ix := range sh.shards {
 			out[i] = obs.ShardGauge{
-				ID:               i,
-				SnapshotGen:      ix.gen.Load(),
-				PinnedQueries:    ix.pinned.Load(),
-				PlanCacheEntries: int64(ix.plans.Len()),
+				ID:            i,
+				SnapshotGen:   ix.gen.Load(),
+				PinnedQueries: ix.pinned.Load(),
 			}
 		}
 		return out
@@ -297,8 +294,6 @@ type ShardInfo struct {
 	Nodes int `json:"nodes"`
 	// Generation is the shard's published snapshot generation.
 	Generation int64 `json:"generation"`
-	// PlanCacheEntries is the shard's plan-cache occupancy.
-	PlanCacheEntries int `json:"plan_cache_entries"`
 }
 
 // ShardInfo reports each shard's current shape — the `shards=`
@@ -310,11 +305,10 @@ func (sh *Sharded) ShardInfo() []ShardInfo {
 	out := make([]ShardInfo, len(sh.shards))
 	for i, ix := range sh.shards {
 		out[i] = ShardInfo{
-			ID:               i,
-			Docs:             counts[i],
-			Nodes:            ix.Len(),
-			Generation:       ix.gen.Load(),
-			PlanCacheEntries: ix.plans.Len(),
+			ID:         i,
+			Docs:       counts[i],
+			Nodes:      ix.Len(),
+			Generation: ix.gen.Load(),
 		}
 	}
 	return out
@@ -343,12 +337,5 @@ func (sh *Sharded) SetSlowQueryThreshold(d time.Duration) {
 	sh.queryObs.SetSlowQueryThreshold(d)
 	for _, ix := range sh.shards {
 		ix.SetSlowQueryThreshold(d)
-	}
-}
-
-// SetPlanCacheCapacity rebounds every shard's plan cache.
-func (sh *Sharded) SetPlanCacheCapacity(n int) {
-	for _, ix := range sh.shards {
-		ix.SetPlanCacheCapacity(n)
 	}
 }

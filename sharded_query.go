@@ -198,10 +198,10 @@ func recertify(rs []Result, meta exec.RunMeta) {
 // requests the star join serves (AlgoJoin's top-K mode, and TopKStream
 // always) reach the shards as streams whose results feed the threshold
 // exchange as they arrive; every other request — including AlgoAuto,
-// which plans per shard against each shard's own statistics and
-// generation-keyed plan cache — runs as a batch whose results are
-// collected when the shard returns. Either way each shard result goes
-// through the one collect, and the parts through the one merge.
+// which plans per shard against each shard's own statistics — runs as a
+// batch whose results are collected when the shard returns. Either way
+// each shard result goes through the one collect, and the parts through
+// the one merge.
 func (sh *Sharded) gather(ctx context.Context, req request) (rs []Result, meta exec.RunMeta, trip, err error) {
 	sh.mu.RLock()
 	offs, _ := sh.offsetsLocked()

@@ -261,16 +261,12 @@ func (ix *Index) applySlow(next *snapshot, muts []Mutation) (ids []string, dirty
 	return ids, ix.applyDirty(next, dirty), renumbered, nil
 }
 
-// publish stamps the next snapshot's generation, swaps it in atomically,
-// and drops every cached query plan built against earlier generations.
-// The plan cache is keyed on the generation too, so even without the
-// eager invalidation a stale plan could never be served — invalidation
-// just reclaims the dead entries immediately.
+// publish stamps the next snapshot's generation and swaps it in
+// atomically.
 func (ix *Index) publish(next *snapshot) {
 	next.gen = ix.gen.Load() + 1
 	ix.snap.Store(next)
 	ix.gen.Add(1)
-	ix.plans.Invalidate(next.gen)
 }
 
 // collectTerms accumulates every term occurring in the subtree of n.

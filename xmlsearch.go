@@ -67,7 +67,6 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/invindex"
 	"repro/internal/jdewey"
@@ -118,10 +117,9 @@ const (
 	// AlgoAuto selects the engine per query with the cost-based planner:
 	// per-keyword row counts are read from the lexicon (no list is
 	// decoded), every capable engine is costed with the paper's
-	// frequency-skew heuristics, and the cheapest runs. The plan is cached
-	// in a bounded LRU keyed on (keywords, semantics, k-bucket, snapshot
-	// generation), so hot repeated queries skip planning entirely; see
-	// Prepare for skipping tokenization too.
+	// frequency-skew heuristics, and the cheapest runs. Planning reads only
+	// lexicon statistics, so every call plans afresh; see Prepare for
+	// skipping tokenization.
 	AlgoAuto
 )
 
@@ -224,9 +222,6 @@ type Index struct {
 	// cache is the decoded-list cache shared by every snapshot of this
 	// index (see colstore.Cache for why sharing across snapshots is safe).
 	cache *colstore.Cache
-	// plans caches cost-based query plans keyed on (keywords, semantics,
-	// k-bucket, snapshot generation); mutations invalidate by generation.
-	plans *exec.PlanCache
 	// gen is the generation of the published snapshot: 1 at construction,
 	// +1 per published mutation; it feeds the obs gauges.
 	gen atomic.Int64
@@ -268,9 +263,8 @@ type snapshot struct {
 	m     *occur.Map
 	store *colstore.Store
 	enc   *jdewey.Encoding
-	// gen is the generation this snapshot was published as; the planner
-	// keys cached plans on it so a plan built from one snapshot's
-	// statistics is never reused against another's.
+	// gen is the generation this snapshot was published as; a plan
+	// reports it as the generation its statistics were read from.
 	gen int64
 
 	// delta, when non-nil, is the in-memory delta segment layered over the
@@ -295,21 +289,19 @@ type snapshot struct {
 // are counted from the first query on. Disk-backed stores additionally get
 // the shared size-bounded decode cache.
 func newIndex(doc *xmltree.Document, m *occur.Map, store *colstore.Store, enc *jdewey.Encoding, cfg config) *Index {
-	ix := &Index{cfg: cfg, cache: colstore.NewCache(0), plans: exec.NewPlanCache(0)}
+	ix := &Index{cfg: cfg, cache: colstore.NewCache(0)}
 	ix.metrics = obs.NewMetrics()
 	ix.cache.SetObs(&ix.metrics.Store)
-	ix.plans.SetObs(&ix.metrics.Planner)
 	store.SetObs(&ix.metrics.Store)
 	store.SetCache(ix.cache)
 	ix.gen.Store(1)
 	ix.metrics.SetGaugeSource(func() obs.Gauges {
 		g := obs.Gauges{
-			SnapshotGen:      ix.gen.Load(),
-			PinnedQueries:    ix.pinned.Load(),
-			CacheLists:       int64(ix.cache.Len()),
-			CacheBytes:       ix.cache.Bytes(),
-			PlanCacheEntries: int64(ix.plans.Len()),
-			WALRecords:       ix.walRecords.Load(),
+			SnapshotGen:   ix.gen.Load(),
+			PinnedQueries: ix.pinned.Load(),
+			CacheLists:    int64(ix.cache.Len()),
+			CacheBytes:    ix.cache.Bytes(),
+			WALRecords:    ix.walRecords.Load(),
 		}
 		if d := ix.view().delta; d != nil {
 			g.DeltaOps = int64(len(d.ops))
@@ -321,9 +313,10 @@ func newIndex(doc *xmltree.Document, m *occur.Map, store *colstore.Store, enc *j
 	return ix
 }
 
-// SetPlanCacheCapacity rebounds the plan cache (entries, not bytes);
-// n <= 0 restores the default bound. Shrinking evicts immediately.
-func (ix *Index) SetPlanCacheCapacity(n int) { ix.plans.SetCapacity(n) }
+// SetPlanCacheCapacity does nothing and remains only so existing callers
+// compile: AlgoAuto plans every call from lexicon statistics, so there is
+// no plan cache to bound.
+func (ix *Index) SetPlanCacheCapacity(int) {}
 
 // view returns the currently published snapshot. Callers use every part of
 // the returned snapshot together; mixing parts of different snapshots is
