@@ -155,17 +155,18 @@ func (s *snapshot) docDepth() int {
 }
 
 // occMap returns the occurrence map of the merged view. Delta-free
-// snapshots return their own map; delta snapshots lazily merge the dirty
+// snapshots return their base map; delta snapshots lazily merge the dirty
 // terms over the base (re-sorted into document order — the delta keeps
 // them in JDewey order for the column overlay, while the document-order
 // baselines want Dewey order).
 func (s *snapshot) occMap() *occur.Map {
+	base := s.m.get()
 	if s.delta == nil {
-		return s.m
+		return base
 	}
 	s.occOnce.Do(func() {
-		nm := &occur.Map{Terms: make(map[string][]occur.Occ, len(s.m.Terms)), N: s.m.N, Depth: s.docDepth()}
-		for t, occs := range s.m.Terms {
+		nm := &occur.Map{Terms: make(map[string][]occur.Occ, len(base.Terms)), N: base.N, Depth: s.docDepth()}
+		for t, occs := range base.Terms {
 			nm.Terms[t] = occs
 		}
 		for t, occs := range s.delta.terms {
@@ -282,10 +283,11 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*s
 	// it against the new document frequency (the corpus constant N stays
 	// frozen, exactly as the slow path does).
 	counts := tokenize.TermCounts(m.Text)
+	bm := cur.m.get()
 	for term, tf := range counts {
 		prev, dirty := d.terms[term]
 		if !dirty {
-			base := cur.m.Terms[term]
+			base := bm.Terms[term]
 			prev = make([]occur.Occ, len(base))
 			copy(prev, base)
 			// The base map is kept in document order, which after a
@@ -297,12 +299,12 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*s
 		sortByJDewey(merged)
 		df := len(merged)
 		for i := range merged {
-			merged[i].Score = float32(score.Local(merged[i].TF, df, cur.m.N))
+			merged[i].Score = float32(score.Local(merged[i].TF, df, bm.N))
 		}
 		d.terms[term] = merged
 	}
 
-	overlay := colstore.NewOverlay(&occur.Map{Terms: d.terms, N: cur.m.N, Depth: d.depth}, cur.baseStore())
+	overlay := colstore.NewOverlay(&occur.Map{Terms: d.terms, N: bm.N, Depth: d.depth}, cur.baseStore())
 	return &snapshot{
 		doc:   cur.doc,
 		m:     cur.m,
@@ -324,7 +326,7 @@ func (ix *Index) materializeOf(cur *snapshot) *snapshot {
 	doc := cur.doc.Clone()
 	next := &snapshot{
 		doc:   doc,
-		m:     cur.m.CloneRemapped(doc.Nodes),
+		m:     builtOcc(cur.m.get().CloneRemapped(doc.Nodes)),
 		store: cur.baseStore().Clone(),
 		enc:   cur.enc.CloneFor(doc),
 	}

@@ -1,6 +1,7 @@
 package xmlsearch
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -13,7 +14,7 @@ import (
 )
 
 // Crash-injection tests for the full index directory (column store blobs
-// plus document, numbering, and corpus names): a crash at any filesystem
+// plus the node table and corpus names): a crash at any filesystem
 // operation of Save must leave a directory from which Load serves exactly
 // the previously committed index or exactly the new one.
 
@@ -171,33 +172,64 @@ func TestCorpusSaveCrashInvariant(t *testing.T) {
 	}
 }
 
-// TestParseIndexMetaHardening exercises the numbering parser against the
+// TestParseIndexMetaHardening exercises the index.meta parser against the
 // corruption shapes Load must reject: bad magic, bad flags, a node count
-// larger than the payload could hold, truncation mid-varint, a zero or
-// oversized number, and trailing garbage.
+// larger than the payload could hold, truncation mid-varint, a zero number,
+// trailing garbage, and the node table's own shapes — a tag id past the
+// dictionary, child counts that overrun or underrun the nodes present, a
+// second root, text running past the end. A version 2 payload is rejected
+// with its version named.
 func TestParseIndexMetaHardening(t *testing.T) {
 	idx, err := Open(strings.NewReader(faultDocA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := idx.encodeMeta(idx.view())
-	if _, jds, err := parseIndexMeta(good); err != nil || len(jds) != idx.Len() {
-		t.Fatalf("round trip: %v, %d numbers (want %d)", err, len(jds), idx.Len())
+	_, doc, err := parseIndexMeta(good)
+	if err != nil || doc.Len() != idx.Len() {
+		t.Fatalf("round trip: %v", err)
 	}
-	// The pre-checksum magic with the same body is rejected.
-	legacy := append([]byte("XKWMETA1\n"), good[len(indexMetaMagicV2):]...)
-	if _, _, err := parseIndexMeta(legacy); err == nil {
+	if again := idx.encodeMeta(&snapshot{doc: doc}); !bytes.Equal(again, good) {
+		t.Fatal("decoded tree re-encodes to different bytes")
+	}
+	// The previous versions' magics with the same body are rejected; v2 by
+	// name.
+	body := good[len(indexMetaMagic):]
+	if _, _, err := parseIndexMeta(append([]byte("XKWMETA1\n"), body...)); err == nil {
 		t.Fatal("legacy magic accepted")
 	}
+	if _, _, err := parseIndexMeta(append([]byte(indexMetaMagicV2), body...)); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("v2 payload: %v, want an error naming version 2", err)
+	}
 
+	// meta prefixes a hand-built node table (after the no-ElemRank flag);
+	// every table below has the one tag "a".
+	meta := func(table ...byte) []byte {
+		return append(append([]byte(indexMetaMagic), 0, 1, 1, 'a'), table...)
+	}
+	// One valid two-node tree, <a><a>x</a></a>: count, then per node tag
+	// id, child count, number, text length, text.
+	if _, _, err := parseIndexMeta(meta(2, 0, 1, 1, 0, 0, 0, 1, 1, 'x')); err != nil {
+		t.Fatalf("hand-built table rejected: %v", err)
+	}
 	bad := map[string][]byte{
 		"empty":          {},
 		"magic":          []byte("XKWMETA9\n\x00\x01\x01"),
-		"flags":          append(append([]byte{}, good[:len(indexMetaMagicV2)]...), 7, 1, 1),
-		"huge count":     append(append([]byte{}, good[:len(indexMetaMagicV2)+1]...), 0xff, 0xff, 0xff, 0xff, 0x0f),
+		"flags":          append(append([]byte{}, good[:len(indexMetaMagic)]...), 7, 1, 1),
+		"huge count":     meta(0xff, 0xff, 0xff, 0xff, 0x0f),
+		"no nodes":       meta(0),
 		"truncated":      good[:len(good)-1],
-		"zero number":    append(append([]byte{}, good[:len(indexMetaMagicV2)]...), 0, 1, 0),
+		"zero number":    meta(1, 0, 0, 0, 0),
+		"huge number":    meta(1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0),
 		"trailing bytes": append(append([]byte{}, good...), 0x7f),
+		"tag id":         meta(1, 1, 0, 1, 0),
+		"unused tag":     append(append([]byte(indexMetaMagic), 0, 2, 1, 'a', 1, 'b'), 1, 0, 0, 1, 0),
+		"repeated tag":   append(append([]byte(indexMetaMagic), 0, 2, 1, 'a', 1, 'a'), 2, 0, 1, 1, 0, 1, 0, 1, 0),
+		"overlong":       meta(1, 0, 0x80, 0x00, 1, 0),
+		"child overrun":  meta(2, 0, 2, 1, 0, 0, 0, 1, 0),
+		"child underrun": meta(3, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0),
+		"second root":    meta(2, 0, 0, 1, 0, 0, 0, 2, 0),
+		"text past end":  meta(1, 0, 0, 1, 5, 'x'),
 	}
 	for name, data := range bad {
 		if _, _, err := parseIndexMeta(data); err == nil {

@@ -1,6 +1,7 @@
 package xmlsearch
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,9 +12,9 @@ import (
 )
 
 // FuzzLoadMeta drives the index.meta parser with mutations of a real saved
-// numbering. The parser must never panic, must bound the declared node
-// count before allocating, and anything it accepts must be a complete,
-// nonzero numbering.
+// node table. The parser must never panic, must bound the declared counts
+// before allocating, and anything it accepts must be a complete, nonzero
+// numbering that re-encodes to exactly the bytes it was decoded from.
 func FuzzLoadMeta(f *testing.F) {
 	idx, err := Open(strings.NewReader(
 		`<lib><book><title>sensor network</title></book><book><title>query ranking</title></book></lib>`))
@@ -38,18 +39,22 @@ func FuzzLoadMeta(f *testing.F) {
 	}
 	f.Add(payload)
 	f.Add(raw) // footer attached: trailing bytes, must be rejected
-	f.Add(append([]byte("XKWMETA1\n"), payload[len(indexMetaMagicV2):]...))
-	f.Add([]byte(indexMetaMagicV2))
+	f.Add(append([]byte(indexMetaMagicV2), payload[len(indexMetaMagic):]...))
+	f.Add([]byte(indexMetaMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, jds, err := parseIndexMeta(data)
+		elemRank, doc, err := parseIndexMeta(data)
 		if err != nil {
 			return
 		}
-		for i, v := range jds {
-			if v == 0 {
-				t.Fatalf("accepted numbering with zero at node %d", i)
+		for _, n := range doc.Nodes {
+			if n.JD == 0 {
+				t.Fatalf("accepted numbering with zero at node %d", n.Ord)
 			}
+		}
+		ix := &Index{cfg: config{elemRank: elemRank}}
+		if again := ix.encodeMeta(&snapshot{doc: doc}); !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", again, data)
 		}
 	})
 }

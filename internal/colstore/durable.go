@@ -22,7 +22,7 @@ import (
 //	postings.col.<gen> column blob + footer
 //	postings.tk.<gen>  top-K blob + footer
 //
-// plus, at the xmlsearch layer, document.xml.<gen>, index.meta.<gen>,
+// plus, at the xmlsearch layer, index.meta.<gen> (flags and node table),
 // corpus.names.<gen>, shards.meta.<gen> and the write-ahead log wal.<gen>.
 // Gen is the whole protocol, for every layer: a writer begins a generation
 // (BeginGen), writes every file of it (Write; each fsynced), and publishes

@@ -267,29 +267,35 @@ func (e *Encoding) Remove(n *xmltree.Node) {
 
 // Check validates the two JDewey requirements over the whole document:
 // per-level uniqueness and the cross-parent order property. It returns the
-// first violation found, or nil.
+// first violation found, or nil. Each level is checked in one pass in
+// number order — the level as it stands when it is already in that order
+// (as after Assign or a load), a sorted copy otherwise — so a duplicate is
+// two equal neighbours, and the order requirement (sorted by own number,
+// parent numbers are non-decreasing) compares neighbours too.
 func Check(doc *xmltree.Document) error {
 	for l := 1; l <= doc.Depth; l++ {
-		seen := make(map[uint32]*xmltree.Node)
-		for _, v := range doc.NodesAtLevel(l) {
+		nodes := doc.NodesAtLevel(l)
+		for i := 1; i < len(nodes); i++ {
+			if nodes[i-1].JD > nodes[i].JD {
+				nodes = append([]*xmltree.Node(nil), nodes...)
+				sort.Slice(nodes, func(i, j int) bool { return nodes[i].JD < nodes[j].JD })
+				break
+			}
+		}
+		for i, v := range nodes {
 			if v.JD == 0 {
 				return fmt.Errorf("jdewey: node %v at level %d has no number", v.Dewey, l)
 			}
-			if prev, dup := seen[v.JD]; dup {
+			if i == 0 {
+				continue
+			}
+			prev := nodes[i-1]
+			if prev.JD == v.JD {
 				return fmt.Errorf("jdewey: duplicate number %d at level %d (%v and %v)", v.JD, l, prev.Dewey, v.Dewey)
 			}
-			seen[v.JD] = v
-		}
-	}
-	// The order requirement is equivalent to: sorted by own number, parent
-	// numbers are non-decreasing.
-	for l := 2; l <= doc.Depth; l++ {
-		nodes := append([]*xmltree.Node(nil), doc.NodesAtLevel(l)...)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].JD < nodes[j].JD })
-		for i := 1; i < len(nodes); i++ {
-			if nodes[i-1].Parent.JD > nodes[i].Parent.JD {
+			if l > 1 && prev.Parent.JD > v.Parent.JD {
 				return fmt.Errorf("jdewey: order violation at level %d: %d (parent %d) < %d (parent %d)",
-					l, nodes[i-1].JD, nodes[i-1].Parent.JD, nodes[i].JD, nodes[i].Parent.JD)
+					l, prev.JD, prev.Parent.JD, v.JD, v.Parent.JD)
 			}
 		}
 	}

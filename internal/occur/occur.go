@@ -30,12 +30,12 @@ type Map struct {
 	Depth int // document depth
 }
 
-// ExtractRanked is Extract with a link-based component: each occurrence's
+// ExtractRanked is ExtractN with a link-based component: each occurrence's
 // tf-idf local score is multiplied by the node's global-importance rank
 // (see score.ElemRank), the combined g(v, w) form Section II-B describes.
-// ranks is indexed by node ordinal; a nil ranks degenerates to Extract.
-func ExtractRanked(doc *xmltree.Document, ranks []float64) *Map {
-	m := Extract(doc)
+// ranks is indexed by node ordinal; a nil ranks degenerates to ExtractN.
+func ExtractRanked(doc *xmltree.Document, n int, ranks []float64) *Map {
+	m := ExtractN(doc, n)
 	if ranks == nil {
 		return m
 	}

@@ -317,10 +317,10 @@ func TestElemRankRefreshedOnMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := idx.view()
-	exp := occur.ExtractN(s.doc, s.m.N)
+	exp := occur.ExtractN(s.doc, s.m.get().N)
 	ranks := score.ElemRank(s.doc, score.DefaultElemRankParams())
 	for term, want := range exp.Terms {
-		got := s.m.Terms[term]
+		got := s.m.get().Terms[term]
 		if len(got) != len(want) {
 			t.Fatalf("term %q: %d occurrences, want %d", term, len(got), len(want))
 		}

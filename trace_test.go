@@ -126,7 +126,7 @@ func TestGoldenTraceNaive(t *testing.T) {
 	keywords := ds.Correlated[0]
 	run := func() string {
 		tr := obs.NewTrace()
-		rs := naive.EvaluateObs(idx.view().doc, idx.view().m, keywords, naive.ELCA, 0, tr)
+		rs := naive.EvaluateObs(idx.view().doc, idx.view().occMap(), keywords, naive.ELCA, 0, tr)
 		if len(rs) == 0 {
 			t.Fatal("oracle found no results")
 		}

@@ -290,18 +290,19 @@ func collectTerms(n *xmltree.Node, into map[string]bool) {
 // — would let two occurrences of one term carry ranks from different tree
 // generations).
 func (ix *Index) applyDirty(s *snapshot, dirty map[string]bool) int {
+	m := s.m.get()
 	if ix.cfg.elemRank {
-		for term := range s.m.Terms {
+		for term := range m.Terms {
 			dirty[term] = true
 		}
 	}
-	s.m.UpdateTerms(s.doc, dirty)
+	m.UpdateTerms(s.doc, dirty)
 	var ranks []float64
 	if ix.cfg.elemRank {
 		ranks = score.ElemRank(s.doc, ix.cfg.erParams)
 	}
 	for term := range dirty {
-		occs := s.m.Terms[term]
+		occs := m.Terms[term]
 		if ranks != nil {
 			for i := range occs {
 				occs[i].Score *= float32(ranks[occs[i].Node.Ord])
@@ -319,7 +320,7 @@ func (ix *Index) applyDirty(s *snapshot, dirty map[string]bool) int {
 	}
 	// The store keeps carrying the frozen scoring constant; only the depth
 	// tracks the document.
-	s.store.SetMeta(s.m.N, s.doc.Depth)
+	s.store.SetMeta(m.N, s.doc.Depth)
 	return len(dirty)
 }
 

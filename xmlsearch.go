@@ -30,7 +30,7 @@
 // quarantines that term (its queries return no occurrences) instead of
 // failing the whole index, and Health reports the degradation so callers
 // can choose degraded service over an outage. Damage to the small metadata
-// files (CURRENT, lexicon, document, numbering) is a clean Load error —
+// files (CURRENT, lexicon, index.meta) is a clean Load error —
 // never a panic, never silently wrong results.
 //
 // # Concurrency
@@ -53,9 +53,8 @@
 package xmlsearch
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -259,8 +258,10 @@ type Index struct {
 // and idempotent — they fill in caches without changing what the snapshot
 // logically contains.
 type snapshot struct {
-	doc   *xmltree.Document
-	m     *occur.Map
+	doc *xmltree.Document
+	// m is the base occurrence map, shared with every delta snapshot on
+	// this base; a loaded index builds it only when something reads it.
+	m     *occHolder
 	store *colstore.Store
 	enc   *jdewey.Encoding
 	// gen is the generation this snapshot was published as; a plan
@@ -284,11 +285,40 @@ type snapshot struct {
 	occ     *occur.Map
 }
 
+// occHolder is a base occurrence map that is built at most once, on first
+// use. The served path (the join and top-K engines, the planner, DocFreq)
+// reads the column store's lexicon and never needs it; the baselines and
+// the write path do. Holders of built or derived maps are filled at
+// construction and never run their build.
+type occHolder struct {
+	once sync.Once
+	doc  *xmltree.Document
+	n    int
+	m    *occur.Map
+}
+
+// builtOcc wraps a map that already exists.
+func builtOcc(m *occur.Map) *occHolder { return &occHolder{m: m} }
+
+// lazyOcc defers extracting doc's map, against the frozen corpus constant
+// n, to the first get.
+func lazyOcc(doc *xmltree.Document, n int) *occHolder { return &occHolder{doc: doc, n: n} }
+
+// get returns the map, extracting it on the first call.
+func (h *occHolder) get() *occur.Map {
+	h.once.Do(func() {
+		if h.m == nil {
+			h.m = occur.ExtractN(h.doc, h.n)
+		}
+	})
+	return h.m
+}
+
 // newIndex assembles an Index around its parts and hooks the metrics
 // registry into the column store so list opens, decodes, and quarantines
 // are counted from the first query on. Disk-backed stores additionally get
 // the shared size-bounded decode cache.
-func newIndex(doc *xmltree.Document, m *occur.Map, store *colstore.Store, enc *jdewey.Encoding, cfg config) *Index {
+func newIndex(doc *xmltree.Document, m *occHolder, store *colstore.Store, enc *jdewey.Encoding, cfg config) *Index {
 	ix := &Index{cfg: cfg, cache: colstore.NewCache(0)}
 	ix.metrics = obs.NewMetrics()
 	ix.cache.SetObs(&ix.metrics.Store)
@@ -380,11 +410,11 @@ func FromDocument(doc *xmltree.Document, opts ...Option) (*Index, error) {
 	enc := jdewey.Assign(doc, 4)
 	var m *occur.Map
 	if cfg.elemRank {
-		m = occur.ExtractRanked(doc, score.ElemRank(doc, cfg.erParams))
+		m = occur.ExtractRanked(doc, doc.Len(), score.ElemRank(doc, cfg.erParams))
 	} else {
 		m = occur.Extract(doc)
 	}
-	return newIndex(doc, m, colstore.Build(m), enc, cfg), nil
+	return newIndex(doc, builtOcc(m), colstore.Build(m), enc, cfg), nil
 }
 
 // Len returns the number of element nodes indexed.
@@ -455,25 +485,30 @@ func (ix *Index) TopKStream(query string, k int, opt SearchOptions, fn func(Resu
 // store adds its three (see internal/colstore/durable.go for the
 // generation-and-CURRENT commit protocol every file shares).
 const (
-	fileDocument    = "document.xml"
 	fileMeta        = "index.meta"
 	fileCorpusNames = "corpus.names"
 )
 
-const indexMetaMagicV2 = "XKWMETA2\n"
+// index.meta magics: version 3 carries the flags and the node table;
+// version 2 carried the flags and the numbering beside a document.xml and
+// is recognised only to name it in the error.
+const (
+	indexMetaMagic   = "XKWMETA3\n"
+	indexMetaMagicV2 = "XKWMETA2\n"
+)
 
-// Save persists the index directory — the column store blobs, the source
-// document, the JDewey numbering (which after incremental mutations is no
-// longer the canonical fresh assignment), and the index flags — as one
-// atomically committed, checksummed generation: a crash at any point
-// leaves either the previous index or the new one fully intact, never a
-// mix and never a torn file that loads.
+// Save persists the index directory — the column store blobs, the index
+// flags and the document's node table (tags, text and the JDewey
+// numbering, which after incremental mutations is no longer the canonical
+// fresh assignment) — as one atomically committed, checksummed generation:
+// a crash at any point leaves either the previous index or the new one
+// fully intact, never a mix and never a torn file that loads.
 func (ix *Index) Save(dir string) error {
 	return ix.saveFS(dir, faultinject.OS(), nil)
 }
 
 // saveFS writes one complete generation — the column store's three files
-// plus document.xml, index.meta, and any extra files — then publishes it
+// plus index.meta and any extra files — then publishes it
 // with the single Commit rename. It is the injection point of the crash
 // tests.
 func (ix *Index) saveFS(dir string, fsys faultinject.FS, extra map[string][]byte) error {
@@ -506,18 +541,11 @@ func (ix *Index) saveFS(dir string, fsys faultinject.FS, extra map[string][]byte
 }
 
 // writeGen writes the files of one uncommitted generation — the column
-// store's three plus document.xml, index.meta, and any extras — for a fully
-// materialized snapshot. The caller commits; saveFS, enableWALFS and the
-// compactor share this.
+// store's three plus index.meta and any extras — for a fully materialized
+// snapshot. The caller commits; saveFS, enableWALFS and the compactor share
+// this.
 func (ix *Index) writeGen(s *snapshot, g *colstore.Gen, extra map[string][]byte) error {
 	if err := s.store.SaveGen(g); err != nil {
-		return err
-	}
-	var xml bytes.Buffer
-	if err := s.doc.WriteXML(&xml); err != nil {
-		return fmt.Errorf("xmlsearch: save: %w", err)
-	}
-	if err := g.Write(fileDocument, xml.Bytes()); err != nil {
 		return err
 	}
 	if err := g.Write(fileMeta, ix.encodeMeta(s)); err != nil {
@@ -536,68 +564,54 @@ func (ix *Index) writeGen(s *snapshot, g *colstore.Gen, extra map[string][]byte)
 	return nil
 }
 
-// encodeMeta serializes the index flags and the preorder JDewey numbering
-// of the pinned snapshot, one uvarint per node.
+// encodeMeta serializes the index flags and the pinned snapshot's node
+// table (see xmltree.Document.AppendTable).
 func (ix *Index) encodeMeta(s *snapshot) []byte {
-	jd := []byte(indexMetaMagicV2)
+	meta := []byte(indexMetaMagic)
 	if ix.cfg.elemRank {
-		jd = append(jd, 1)
+		meta = append(meta, 1)
 	} else {
-		jd = append(jd, 0)
+		meta = append(meta, 0)
 	}
-	jd = binary.AppendUvarint(jd, uint64(s.doc.Len()))
-	for _, n := range s.doc.Nodes {
-		jd = binary.AppendUvarint(jd, uint64(n.JD))
-	}
-	return jd
+	return s.doc.AppendTable(meta)
 }
 
-// parseIndexMeta decodes an index.meta payload. The node
-// count is bounded by the bytes that could possibly hold that many varints
-// before anything is allocated, every number must fit a nonzero uint32,
-// and bytes after the last varint are rejected — a flipped length byte
-// yields an error, not a huge allocation or a silently misnumbered tree.
-func parseIndexMeta(meta []byte) (elemRank bool, jds []uint32, err error) {
-	if len(meta) < len(indexMetaMagicV2)+1 || string(meta[:len(indexMetaMagicV2)]) != indexMetaMagicV2 {
+// errMetaV2 marks an index.meta of the previous format, which this build
+// does not read.
+var errMetaV2 = fmt.Errorf("xmlsearch: load: index.meta is version 2; this build reads version 3 only")
+
+// parseIndexMeta decodes an index.meta payload: the flags byte, then the
+// node table, whose decoder bounds every count before allocating and
+// rejects anything but one complete, validly numbered tree with no
+// trailing bytes.
+func parseIndexMeta(meta []byte) (elemRank bool, doc *xmltree.Document, err error) {
+	n := len(indexMetaMagic)
+	if len(meta) >= n && string(meta[:n]) == indexMetaMagicV2 {
+		return false, nil, errMetaV2
+	}
+	if len(meta) < n+1 || string(meta[:n]) != indexMetaMagic {
 		return false, nil, fmt.Errorf("xmlsearch: load: not an index.meta file")
 	}
-	switch meta[len(indexMetaMagicV2)] {
+	switch meta[n] {
 	case 0:
 	case 1:
 		elemRank = true
 	default:
-		return false, nil, fmt.Errorf("xmlsearch: load: bad index flags %#x", meta[len(indexMetaMagicV2)])
+		return false, nil, fmt.Errorf("xmlsearch: load: bad index flags %#x", meta[n])
 	}
-	off := len(indexMetaMagicV2) + 1
-	count, sz := binary.Uvarint(meta[off:])
-	if sz <= 0 {
-		return false, nil, fmt.Errorf("xmlsearch: load: truncated numbering header")
+	if doc, err = xmltree.DecodeTable(meta[n+1:]); err != nil {
+		return false, nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	off += sz
-	if count > uint64(len(meta)-off) {
-		return false, nil, fmt.Errorf("xmlsearch: load: numbering claims %d nodes, %d bytes remain", count, len(meta)-off)
-	}
-	jds = make([]uint32, count)
-	for i := range jds {
-		v, sz := binary.Uvarint(meta[off:])
-		if sz <= 0 || v == 0 || v > 1<<32-1 {
-			return false, nil, fmt.Errorf("xmlsearch: load: truncated numbering at node %d", i)
-		}
-		jds[i] = uint32(v)
-		off += sz
-	}
-	if off != len(meta) {
-		return false, nil, fmt.Errorf("xmlsearch: load: %d trailing bytes after numbering", len(meta)-off)
-	}
-	return elemRank, jds, nil
+	return elemRank, doc, nil
 }
 
 // Load opens an index directory written by Save: the column store decodes
-// (and checksum-verifies) lazily, the document is re-parsed for result
-// materialization, and the saved JDewey numbering is adopted so the blobs
-// and the tree agree even when the index had been mutated incrementally
-// before saving. Damage to individual term lists degrades only those terms
-// (see Health); damage to the metadata files is a clean error here.
+// (and checksum-verifies) lazily, and the document tree with its saved
+// JDewey numbering is decoded from index.meta, so the blobs and the tree
+// agree even when the index had been mutated incrementally before saving.
+// The occurrence map is not extracted until something needs it. Damage to
+// individual term lists degrades only those terms (see Health); damage to
+// the metadata files is a clean error here.
 func Load(dir string) (*Index, error) {
 	if IsShardedDir(dir) {
 		return nil, fmt.Errorf("xmlsearch: load: %s is a sharded index directory: open it with LoadSharded", dir)
@@ -610,18 +624,10 @@ func Load(dir string) (*Index, error) {
 }
 
 // loadGen is Load from an already-resolved generation: every file — the
-// store's three, the document, the numbering, the log — comes from g, so a
-// save or compaction committing meanwhile cannot mix generations.
+// store's three, the tree, the log — comes from g, so a save or compaction
+// committing meanwhile cannot mix generations.
 func loadGen(g *colstore.Gen) (*Index, error) {
 	store, err := colstore.OpenStore(g)
-	if err != nil {
-		return nil, fmt.Errorf("xmlsearch: load: %w", err)
-	}
-	docRaw, err := g.Read(fileDocument)
-	if err != nil {
-		return nil, fmt.Errorf("xmlsearch: load: %w", err)
-	}
-	doc, err := xmltree.Parse(bytes.NewReader(docRaw))
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
@@ -629,7 +635,10 @@ func loadGen(g *colstore.Gen) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	elemRank, jds, err := parseIndexMeta(meta)
+	elemRank, doc, err := parseIndexMeta(meta)
+	if errors.Is(err, errMetaV2) {
+		return nil, fmt.Errorf("%w: rebuild the index from %s", err, g.Path("document.xml"))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -638,30 +647,19 @@ func loadGen(g *colstore.Gen) (*Index, error) {
 		cfg.elemRank = true
 		cfg.erParams = score.DefaultElemRankParams()
 	}
-	if len(jds) != doc.Len() {
-		return nil, fmt.Errorf("xmlsearch: load: numbering covers %d nodes, document has %d", len(jds), doc.Len())
-	}
-	for i, n := range doc.Nodes {
-		n.JD = jds[i]
-	}
 	enc, err := jdewey.Adopt(doc, 4)
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	// Rebuild the occurrence map against the frozen corpus constant the
-	// saved scores were computed with.
-	var m *occur.Map
-	var ix *Index
+	// The occurrence map is extracted on first use, against the frozen
+	// corpus constant the saved scores were computed with. The saved lists
+	// already carry ElemRank's rank factors (a save follows every re-rank);
+	// its map is built here, with ranks recomputed from the same tree.
+	m := lazyOcc(doc, store.N)
 	if cfg.elemRank {
-		m = occur.ExtractRanked(doc, score.ElemRank(doc, cfg.erParams))
-		m.N = store.N
-		// Rank factors are position-dependent; rebuild the store from the
-		// recomputed map rather than trusting potentially stale blobs.
-		ix = newIndex(doc, m, colstore.Build(m), enc, cfg)
-	} else {
-		m = occur.ExtractN(doc, store.N)
-		ix = newIndex(doc, m, store, enc, cfg)
+		m = builtOcc(occur.ExtractRanked(doc, store.N, score.ElemRank(doc, cfg.erParams)))
 	}
+	ix := newIndex(doc, m, store, enc, cfg)
 	if err := ix.attachWAL(g); err != nil {
 		return nil, err
 	}
