@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/faultinject"
+	"repro/internal/gen"
 )
 
 // corruptRandomFile flips a handful of random bytes in (or truncates) one
@@ -166,5 +167,57 @@ func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 	}
 	if h := loaded.Health(); h.Degraded() || h.Format != 2 {
 		t.Fatalf("health after clean reload = %+v", h)
+	}
+}
+
+// TestCorruptQuarantinedTermWrite: after a byte flip in postings.col
+// quarantines a term, a tail append of that term succeeds, the term then
+// answers as in an intact build on the join, hybrid and stack engines, and
+// Health stops listing it. Its damaged base list cannot feed the fast
+// path, so the write takes the slow path, which rebuilds the list from the
+// tree and lifts the quarantine.
+func TestCorruptQuarantinedTermWrite(t *testing.T) {
+	intact, err := FromDocument(gen.DBLP(0.01, 3).Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := intact.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	g, err := colstore.OpenGen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colPath := g.Path("postings.col")
+	info, err := os.Stat(colPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.FlipByte(colPath, info.Size()/2, 0); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatalf("partial blob damage must not fail Load: %v", err)
+	}
+	h := loaded.Health()
+	if len(h.Quarantined) == 0 {
+		t.Fatalf("no term quarantined: %+v", h)
+	}
+	term := h.Quarantined[0].Term
+	for _, ix := range []*Index{intact, loaded} {
+		if _, err := ix.InsertElement("1", ix.rootChildCount(), "note", term+" repaired"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range loaded.Health().Quarantined {
+		if q.Term == term {
+			t.Fatalf("%q still quarantined after its write: %s", term, q.Err)
+		}
+	}
+	algos := []Algorithm{AlgoJoin, AlgoHybrid, AlgoStack}
+	if n := assertAnswersEqual(t, "rewritten "+term, intact, loaded, []string{term, term + " repaired"}, algos); n == 0 {
+		t.Fatalf("%q: no answers to compare", term)
 	}
 }

@@ -1,10 +1,13 @@
 package xmlsearch
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/colstore"
 	"repro/internal/dewey"
+	"repro/internal/jdewey"
 	"repro/internal/occur"
 	"repro/internal/score"
 	"repro/internal/tokenize"
@@ -30,7 +33,10 @@ import (
 // number at its level (the append-order eligibility check) falls back to
 // the materializing slow path. The delta therefore
 // never carries tombstones, and a merged list is always "base list plus
-// appended occurrences, rescored".
+// appended occurrences, rescored". The base list is read from the base
+// column store, never from the occurrence map, so the fast path — WAL
+// replay included — costs O(touched lists) and leaves a loaded index's
+// map unbuilt; only the baselines, the slow path and compaction build it.
 
 // deltaSeg is the immutable delta of one snapshot. Successive fast-path
 // publishes build successor segments copy-on-write; a pinned reader keeps
@@ -66,32 +72,11 @@ type deltaSeg struct {
 // without disturbing pinned readers. Inner maps and occurrence slices are
 // shared; the apply step re-copies exactly the entries it changes.
 func (d *deltaSeg) successor() *deltaSeg {
-	nd := &deltaSeg{
-		ops:         append([]Mutation(nil), d.ops...),
-		added:       make(map[int]map[uint32]*xmltree.Node, len(d.added)+1),
-		kids:        make(map[*xmltree.Node][]*xmltree.Node, len(d.kids)+1),
-		terms:       make(map[string][]occur.Occ, len(d.terms)+1),
-		maxJD:       make(map[int]uint32, len(d.maxJD)+1),
-		topParentJD: make(map[int]uint32, len(d.topParentJD)+1),
-		addedCount:  d.addedCount,
-		depth:       d.depth,
-	}
-	for l, m := range d.added {
-		nd.added[l] = m
-	}
-	for p, ks := range d.kids {
-		nd.kids[p] = ks
-	}
-	for t, occs := range d.terms {
-		nd.terms[t] = occs
-	}
-	for l, v := range d.maxJD {
-		nd.maxJD[l] = v
-	}
-	for l, v := range d.topParentJD {
-		nd.topParentJD[l] = v
-	}
-	return nd
+	nd := *d
+	nd.ops = slices.Clone(d.ops)
+	nd.added, nd.kids, nd.terms = maps.Clone(d.added), maps.Clone(d.kids), maps.Clone(d.terms)
+	nd.maxJD, nd.topParentJD = maps.Clone(d.maxJD), maps.Clone(d.topParentJD)
+	return &nd
 }
 
 // --- snapshot accessors: the one merged view every engine reads through ---
@@ -165,13 +150,9 @@ func (s *snapshot) occMap() *occur.Map {
 		return base
 	}
 	s.occOnce.Do(func() {
-		nm := &occur.Map{Terms: make(map[string][]occur.Occ, len(base.Terms)), N: base.N, Depth: s.docDepth()}
-		for t, occs := range base.Terms {
-			nm.Terms[t] = occs
-		}
+		nm := &occur.Map{Terms: maps.Clone(base.Terms), N: base.N, Depth: s.docDepth()}
 		for t, occs := range s.delta.terms {
-			cp := make([]occur.Occ, len(occs))
-			copy(cp, occs)
+			cp := slices.Clone(occs)
 			sortByDewey(cp)
 			nm.Terms[t] = cp
 		}
@@ -220,8 +201,10 @@ func (s *snapshot) topParentJD(level int) uint32 {
 // under parent against cur. It returns the successor snapshot, the new
 // floating node and the number of lists it rebuilt, or a nil snapshot when
 // the operation must take the materializing slow path: ElemRank indexes (a
-// structural mutation moves every rank), non-append positions, or an
-// append whose JDewey number cannot legally go above its level's maximum.
+// structural mutation moves every rank), non-append positions, an append
+// whose JDewey number cannot legally go above its level's maximum, or a
+// dirty term whose base list is quarantined (the slow path rebuilds it
+// from the tree and lifts the quarantine).
 func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*snapshot, *xmltree.Node, int) {
 	if ix.cfg.elemRank || m.Pos != len(cur.visibleChildren(parent)) {
 		return nil, nil, 0
@@ -279,32 +262,34 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*s
 		d.depth = level
 	}
 
-	// Merge the new occurrence into each dirty term's full list and rescore
-	// it against the new document frequency (the corpus constant N stays
-	// frozen, exactly as the slow path does).
+	// Merge the new occurrence into each dirty term's full list — placed by
+	// binary search: an append is not always a posting tail — and rescore
+	// it against the new document frequency (the corpus constant N, from
+	// the store, stays frozen exactly as on the slow path). A term's first
+	// touch reads its base postings from the base column list.
 	counts := tokenize.TermCounts(m.Text)
-	bm := cur.m.get()
+	bs := cur.baseStore()
+	seq := child.JDeweySeq()
+	touched := make(map[string][]occur.Occ, len(counts))
 	for term, tf := range counts {
-		prev, dirty := d.terms[term]
-		if !dirty {
-			base := bm.Terms[term]
-			prev = make([]occur.Occ, len(base))
-			copy(prev, base)
-			// The base map is kept in document order, which after a
-			// renumbering mutation need not be JDewey order — sort once on
-			// first touch.
-			sortByJDewey(prev)
+		prev, ok := d.terms[term]
+		if !ok {
+			if prev, ok = baseOccs(bs, cur.doc, term); !ok {
+				return nil, nil, 0
+			}
 		}
-		merged := append(append(make([]occur.Occ, 0, len(prev)+1), prev...), occur.Occ{Node: child, TF: tf})
-		sortByJDewey(merged)
-		df := len(merged)
+		at := sort.Search(len(prev), func(i int) bool { return jdewey.Compare(prev[i].Node.JDeweySeq(), seq) > 0 })
+		merged := make([]occur.Occ, 0, len(prev)+1)
+		merged = append(append(append(merged, prev[:at]...), occur.Occ{Node: child, TF: tf}), prev[at:]...)
 		for i := range merged {
-			merged[i].Score = float32(score.Local(merged[i].TF, df, bm.N))
+			merged[i].Score = float32(score.Local(merged[i].TF, len(merged), bs.N))
 		}
-		d.terms[term] = merged
+		d.terms[term], touched[term] = merged, merged
 	}
 
-	overlay := colstore.NewOverlay(&occur.Map{Terms: d.terms, N: bm.N, Depth: d.depth}, cur.baseStore())
+	// Only the touched lists are built; cur's overlay, if any, lends the
+	// other dirty terms' lists.
+	overlay := colstore.NewOverlay(&occur.Map{Terms: touched, N: bs.N, Depth: d.depth}, cur.store)
 	return &snapshot{
 		doc:   cur.doc,
 		m:     cur.m,
@@ -313,6 +298,39 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*s
 		delta: d,
 		epoch: cur.epoch,
 	}, child, len(counts)
+}
+
+// baseOccs reads term's base postings from the column list of st, in
+// JDewey order: each row's node is resolved in doc by its own level's
+// number (the first row of its run there — a node precedes its
+// descendants) and its tf is recounted from the node's text. ok is false
+// when the list is quarantined or does not resolve against doc; the caller
+// then takes the slow path, which rebuilds the list from the tree.
+func baseOccs(st *colstore.Store, doc *xmltree.Document, term string) (occs []occur.Occ, ok bool) {
+	l := st.List(term)
+	if l == nil {
+		return nil, st.QuarantineErr(term) == nil
+	}
+	occs = make([]occur.Occ, l.NumRows)
+	for lev := 1; lev <= l.MaxLen; lev++ {
+		for _, r := range l.Col(lev).Runs {
+			if int(l.Lens[r.Row]) != lev {
+				continue
+			}
+			n := doc.NodeByJDewey(lev, r.Value)
+			if n == nil {
+				return nil, false
+			}
+			tf := 0
+			tokenize.Each(n.Text, func(t string) {
+				if t == term {
+					tf++
+				}
+			})
+			occs[r.Row] = occur.Occ{Node: n, TF: tf}
+		}
+	}
+	return occs, true
 }
 
 // materializeOf folds base ⊕ delta into a delta-free snapshot the old

@@ -14,11 +14,26 @@ import (
 // the base, so the overlay costs O(dirty terms) while queries see one
 // coherent lexicon. Engines never know: they hold a *Store either way.
 
-// NewOverlay builds a delta overlay serving m's terms itself and
-// delegating everything else to base. The overlay shares base's read-path
-// counters so store observability stays unified across the chain.
-func NewOverlay(m *occur.Map, base *Store) *Store {
+// NewOverlay builds the delta overlay that succeeds prev — a base store,
+// or an overlay on one: it serves m's terms itself, carries over by
+// reference the lists of prev's own terms that m does not replace (so a
+// successor builds only the lists its operation touched), and delegates
+// everything else to the base store. The overlay shares the base's
+// read-path counters so store observability stays unified across the
+// chain.
+func NewOverlay(m *occur.Map, prev *Store) *Store {
 	s := Build(m)
+	base := prev
+	if prev.fallback != nil {
+		base = prev.fallback
+		prev.mu.Lock()
+		for term, l := range prev.lists {
+			if _, own := s.lists[term]; !own {
+				s.lists[term], s.tklists[term] = l, prev.tklists[term]
+			}
+		}
+		prev.mu.Unlock()
+	}
 	base.mu.Lock()
 	s.obsC = base.obsC
 	base.mu.Unlock()

@@ -1,17 +1,20 @@
 package xmlsearch
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/colstore"
 	"repro/internal/gen"
+	"repro/internal/occur"
 )
 
 // searcher is what Index and Sharded have in common for these tests.
@@ -168,15 +171,16 @@ func TestLoadedEqualsBuilt(t *testing.T) {
 	if loaded.view().m.m == nil {
 		t.Fatal("a stack query ran without the occurrence map")
 	}
-	// A fast-path insert shares the loaded base's holder, and builds it.
+	// A fast-path insert shares the loaded base's holder, and leaves it
+	// unbuilt: it reads its base postings from the column store.
 	written := saveAndLoad(t, idx)
 	base := written.view()
 	last = base.doc.Root.Children[len(base.doc.Root.Children)-1]
 	if _, err := written.InsertElement(last.Dewey.String(), len(last.Children), "note", "fresh words"); err != nil {
 		t.Fatal(err)
 	}
-	if s := written.view(); s.delta == nil || s.m != base.m || base.m.m == nil {
-		t.Fatal("a fast-path insert ran without building its base's occurrence map")
+	if s := written.view(); s.delta == nil || s.m != base.m || base.m.m != nil {
+		t.Fatal("a fast-path insert built its base's occurrence map")
 	}
 
 	for _, n := range []int{2, 4} {
@@ -359,9 +363,141 @@ func TestLoadRejectsV2Directory(t *testing.T) {
 	}
 }
 
-// TestLazyOccurrenceMapRace: right after Load, a baseline query, a writer
-// and a compaction all reach for the not-yet-built occurrence map at once;
-// it is built once and every one of them sees it whole.
+// walTailDir builds an index over ds, attaches a write-ahead log in a
+// fresh directory with compaction off, and acknowledges one tail append
+// per text under the root, so the directory's log holds an append-only
+// tail. It returns the live index (the caller closes it) and the directory.
+func walTailDir(t *testing.T, ds *gen.Dataset, texts ...string) (*Index, string) {
+	t.Helper()
+	idx, err := FromDocument(ds.Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.SetCompactionThreshold(-1)
+	dir := t.TempDir()
+	if err := idx.EnableWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range texts {
+		if _, err := idx.InsertElement("1", idx.rootChildCount(), "note", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if idx.view().delta == nil {
+		t.Fatal("the tail appends did not take the delta path")
+	}
+	return idx, dir
+}
+
+// TestWALReplayLeavesOccurrenceMapUnbuilt: loading a WAL directory whose
+// log holds an append-only tail replays it without extracting the
+// occurrence map; the replayed index answers as the live one on every
+// engine, both semantics, Search and TopK; a later stack query builds the
+// map.
+func TestWALReplayLeavesOccurrenceMapUnbuilt(t *testing.T) {
+	ds := gen.DBLP(0.02, 7)
+	queries := loadedQueries(ds)
+	live, dir := walTailDir(t, ds, queries[0], queries[3], "fresh "+queries[1], queries[0])
+	defer live.Close()
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	s := loaded.view()
+	if s.delta == nil || s.m.m != nil {
+		t.Fatal("WAL replay extracted the occurrence map")
+	}
+	if n := loaded.Stats().WAL.ReplayedRecords; n != 4 {
+		t.Fatalf("replayed %d records, want 4", n)
+	}
+	if _, err := loaded.Search(queries[0], SearchOptions{Algorithm: AlgoStack}); err != nil {
+		t.Fatal(err)
+	}
+	if s.m.m == nil {
+		t.Fatal("a stack query ran without the occurrence map")
+	}
+	if n := assertAnswersEqual(t, "replayed", live, loaded, queries, registeredAlgorithms()); n == 0 {
+		t.Fatal("no query has an answer: the comparison proves nothing")
+	}
+}
+
+// TestRenumberedBaseTailAppend: a saved base whose JDewey order differs
+// from document order (a gap-exhausting interior insert re-encoded a
+// subtree) takes tail appends of a term that also occurs inside the
+// renumbered subtree; every engine answers bit for bit as an index built
+// from scratch over the same document. Removals of text-free elements keep
+// the node count at its construction value, so both sides score with the
+// same corpus constant N, and every occurrence of xml has its own tf, so no
+// two results tie (ties rank by JDewey number, which renumbering moves).
+func TestRenumberedBaseTailAppend(t *testing.T) {
+	const pad = 14 // 12 interior inserts + 2 tail appends
+	doc := `<lib><shelf><b>alpha xml</b><b>beta data</b></shelf><shelf><b>gamma xml xml data</b></shelf>` +
+		strings.Repeat("<pad/>", pad) + `</lib>`
+	xmls := func(n int) string { return strings.Repeat(" xml", n) }
+	idx, err := Open(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pad; i++ {
+		if err := idx.RemoveElement("1.3"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := idx.InsertElement("1.1", 0, "n", fmt.Sprintf("extra%d", i)+xmls(i+3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if idx.Stats().Writer.Renumbered == 0 {
+		t.Fatal("no subtree was renumbered")
+	}
+	loaded := saveAndLoad(t, idx)
+	base := loaded.view()
+	occs, ok := baseOccs(base.store, base.doc, "xml")
+	if !ok {
+		t.Fatal("xml: base list unreadable")
+	}
+	docOrder := append([]occur.Occ(nil), occs...)
+	sortByDewey(docOrder)
+	if reflect.DeepEqual(occs, docOrder) {
+		t.Fatal("the base's JDewey order equals document order: nothing was renumbered")
+	}
+	if _, err := loaded.InsertElement("1", loaded.rootChildCount(), "note", "beta"+xmls(15)); err != nil {
+		t.Fatal(err)
+	}
+	shelf := base.doc.Root.Children[0]
+	if _, err := loaded.InsertElement("1.1", len(shelf.Children), "n", "delta"+xmls(16)); err != nil {
+		t.Fatal(err)
+	}
+	s := loaded.view()
+	if s.delta == nil || s.m.m != nil {
+		t.Fatal("the tail appends did not take the store-sourced fast path")
+	}
+	var buf bytes.Buffer
+	if err := loaded.materializeOf(s).doc.WriteXML(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Open(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Len() != loaded.Len() || fresh.view().m.get().N != base.store.N {
+		t.Fatalf("mirror has %d nodes and N %d, want %d and %d", fresh.Len(), fresh.view().m.get().N, loaded.Len(), base.store.N)
+	}
+	queries := []string{"xml", "xml data", "alpha xml", "gamma xml", "extra3 xml", "beta xml", "delta"}
+	if n := assertAnswersEqual(t, "renumbered", fresh, loaded, queries, registeredAlgorithms()); n == 0 {
+		t.Fatal("no query has an answer: the comparison proves nothing")
+	}
+}
+
+// TestLazyOccurrenceMapRace: right after Load, a baseline query that needs
+// the not-yet-built occurrence map, a writer that never reads it and a
+// compaction that does all run at once; the map is built once and every
+// reader sees it whole. The WAL rounds load a directory whose log holds a
+// tail, so the baseline query runs on a delta snapshot, merging the
+// store-sourced occurrences of its dirty terms over the lazily built base
+// map, while a further append and a compaction race it.
 func TestLazyOccurrenceMapRace(t *testing.T) {
 	ds := gen.DBLP(0.01, 3)
 	q := strings.Join(ds.Correlated[0], " ")
@@ -373,13 +509,24 @@ func TestLazyOccurrenceMapRace(t *testing.T) {
 	if err := idx.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 4; round++ {
-		ix, err := Load(dir)
+	for round := 0; round < 6; round++ {
+		from := dir
+		if round%2 == 1 {
+			live, wdir := walTailDir(t, gen.DBLP(0.01, 3), q, "fresh "+q)
+			if err := live.Close(); err != nil {
+				t.Fatal(err)
+			}
+			from = wdir
+		}
+		ix, err := Load(from)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ix.SetCompactionThreshold(-1)
-		n := len(ix.view().doc.Root.Children)
+		if s := ix.view(); round%2 == 1 && (s.delta == nil || s.m.m != nil) {
+			t.Fatal("WAL replay left no delta or built the occurrence map")
+		}
+		n := ix.rootChildCount()
 		var wg sync.WaitGroup
 		errs := make(chan error, 3)
 		wg.Add(3)
@@ -414,6 +561,9 @@ func TestLazyOccurrenceMapRace(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameResults(t, algo.String(), q, want, got)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
