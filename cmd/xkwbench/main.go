@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 )
 
 // options is everything an experiment reads from the command line.
@@ -156,9 +157,9 @@ func sweep(needXMark bool, fn func(o options, dblp, xmark *bench.Env)) func(o op
 			xmark = bench.NewXMarkEnv(o.cfg.Scale, o.cfg.Seed)
 		}
 		if o.slow > 0 {
-			dblp.Obs.SetSlowQueryThreshold(o.slow)
+			dblp.Traces = obs.NewTraceStore(0, 0, o.slow, 1)
 			if xmark != nil {
-				xmark.Obs.SetSlowQueryThreshold(o.slow)
+				xmark.Traces = obs.NewTraceStore(0, 0, o.slow, 1)
 			}
 		}
 		fn(o, dblp, xmark)
@@ -217,7 +218,7 @@ func runReplay(o options) error {
 }
 
 // dumpMetrics writes one environment's accumulated engine metrics in both
-// exposition formats, plus the slow-query log when a threshold was set.
+// exposition formats, plus the slow-query log when one was installed.
 func dumpMetrics(w io.Writer, name string, e *bench.Env) {
 	snap := e.Obs.Snapshot()
 	fmt.Fprintf(w, "\n=== %s metrics (prometheus) ===\n", name)
@@ -225,9 +226,9 @@ func dumpMetrics(w io.Writer, name string, e *bench.Env) {
 	fmt.Fprintf(w, "\n=== %s metrics (json) ===\n", name)
 	snap.WriteJSON(w)
 	fmt.Fprintln(w)
-	if e.Obs.SlowQueryThreshold() > 0 {
-		sq := e.Obs.SlowQueries()
-		fmt.Fprintf(w, "\n=== %s slow queries (>= %v, %d captured) ===\n", name, e.Obs.SlowQueryThreshold(), len(sq))
+	if e.Traces != nil {
+		sq := e.Traces.Kept()
+		fmt.Fprintf(w, "\n=== %s slow queries (>= %v, %d captured) ===\n", name, e.Traces.SlowThreshold(), len(sq))
 		for _, q := range sq {
 			fmt.Fprintf(w, "%-9s k=%-3d %-8v results=%-5d %q\n", q.Engine, q.K, q.Elapsed.Round(time.Microsecond), q.Results, q.Query)
 		}

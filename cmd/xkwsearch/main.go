@@ -21,6 +21,7 @@ import (
 	"time"
 
 	xmlsearch "repro"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -125,7 +126,7 @@ func runQuery(args []string) {
 	}
 
 	if *slow > 0 {
-		idx.SetSlowQueryThreshold(*slow)
+		idx.SetTraceStore(obs.NewTraceStore(0, 0, *slow, 1))
 	}
 
 	if *plan {
@@ -210,7 +211,7 @@ func runQuery(args []string) {
 		snap.WriteJSON(os.Stdout)
 		fmt.Println()
 		if *slow > 0 {
-			sq := idx.SlowQueries()
+			sq := idx.TraceStore().Kept()
 			fmt.Printf("\n--- slow queries (>= %v, %d captured) ---\n", *slow, len(sq))
 			for _, q := range sq {
 				fmt.Printf("%-9s k=%-3d %-8v results=%-5d %q\n", q.Engine, q.K, q.Elapsed.Round(time.Microsecond), q.Results, q.Query)

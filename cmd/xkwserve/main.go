@@ -1,8 +1,8 @@
 // Command xkwserve loads an index and serves it over HTTP together with
 // its full operational plane: Prometheus metrics, liveness/readiness
-// probes backed by storage self-verification, the slow-query log, a
-// bounded tail-sampled trace store, Go runtime profiles, and a traced
-// /search endpoint.
+// probes backed by storage self-verification, a bounded tail-sampled
+// trace store whose keep-ring is the slow-query log, Go runtime profiles,
+// and a traced /search endpoint.
 //
 // Usage:
 //
@@ -24,8 +24,9 @@
 // Trace capture policy: every query through /search is traced; traces of
 // queries that erred, were cancelled, or ran at or above -slow are always
 // retained (up to -trace-keep, oldest evicted), the rest pass through a
-// -trace-sample sized reservoir. -slow 0 retains every trace — useful in
-// development, unbounded only by -trace-keep.
+// -trace-sample sized reservoir. The retained ring is the slow-query log
+// served at /slow. -slow 0 retains every trace — useful in development,
+// unbounded only by -trace-keep.
 //
 // Overload policy: at most -max-inflight queries execute concurrently,
 // up to -queue more wait for a slot, and the rest are shed with 503 and
@@ -59,7 +60,7 @@ func main() {
 	xmlPath := fs.String("xml", "", "XML document to index on the fly")
 	shards := fs.Int("shards", 1, "partition the corpus into N shards with scatter-gather top-K (with -xml; saved sharded indexes are auto-detected)")
 	addr := fs.String("addr", ":8080", "listen address")
-	slow := fs.Duration("slow", 50*time.Millisecond, "slow-query threshold for the slow log and trace retention (0 retains every trace)")
+	slow := fs.Duration("slow", 50*time.Millisecond, "slow-query threshold of the trace store, whose keep-ring is the slow log (0 retains every trace)")
 	traceKeep := fs.Int("trace-keep", obs.DefaultKeepTraces, "capacity of the slow/error/cancelled trace ring")
 	traceSample := fs.Int("trace-sample", obs.DefaultSampleTraces, "reservoir capacity for ordinary traces")
 	traceSeed := fs.Int64("trace-seed", 1, "reservoir sampling seed")
@@ -107,7 +108,6 @@ func main() {
 		fmt.Printf("xkwserve: WARNING: degraded index: %d quarantined term(s), %d damaged file(s)\n", len(h.Quarantined), len(h.FileDamage))
 	}
 
-	ix.SetSlowQueryThreshold(*slow)
 	ts := obs.NewTraceStore(*traceKeep, *traceSample, *slow, *traceSeed)
 	ts.SetMaxSpans(*traceMaxSpans)
 	ix.SetTraceStore(ts)
@@ -164,7 +164,6 @@ type server interface {
 	obshttp.Server
 	Len() int
 	Depth() int
-	SetSlowQueryThreshold(time.Duration)
 	SetTraceStore(*obs.TraceStore)
 	SetQueryLog(*qlog.Recorder)
 }

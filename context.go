@@ -110,6 +110,9 @@ type request struct {
 	// of a shard — from the answer, which still holds k results when the
 	// root would have occupied a slot.
 	dropRoot bool
+	// meter asks for a metering budget even with the flight recorder off:
+	// a coordinator whose recorder is on sums its shards' profiles.
+	meter bool
 }
 
 // newRequest tokenizes the query and normalises the semantics to the
@@ -203,8 +206,13 @@ type outcome struct {
 	rs   []Result // nil for a stream
 	n    int      // results returned or streamed
 	meta exec.RunMeta
-	eng  obs.Engine
-	err  error // what the caller sees
+	eng  obs.Engine // the engine that ran (on a Sharded, the most shards')
+	// plan is the executed plan of a traced request (nil untraced);
+	// shardPlans is a traced coordinator's, one per shard.
+	plan       *QueryPlan
+	shardPlans []*QueryPlan
+	bdg        *budget.B // the resource profile finish records
+	err        error     // what the caller sees
 	// trip is the abort a certified-partial answer was settled from: the
 	// caller sees a nil error, the books record the cause.
 	trip   error
@@ -231,13 +239,14 @@ func withTimeout(ctx context.Context, opt SearchOptions) (context.Context, conte
 }
 
 // queryBudget builds the per-query resource budget (nil = unlimited).
-// With the flight recorder on, an otherwise-unbudgeted query gets an
-// enforcement-free metering budget instead of nil, so its record still
-// carries the resource profile (decoded bytes, cache hits, candidates);
-// with the recorder off, unbudgeted queries keep the nil no-op budget.
-func (ix *Index) queryBudget(opt SearchOptions) *budget.B {
-	b := budget.New(opt.MaxDecodedBytes, opt.MaxCandidates)
-	if b == nil && ix.qlog.Load().Enabled() {
+// With the flight recorder on — this index's, or a coordinator's that
+// set req.meter — an otherwise-unbudgeted query gets an enforcement-free
+// metering budget instead of nil, so its record still carries the
+// resource profile (decoded bytes, cache hits, candidates); with the
+// recorder off, unbudgeted queries keep the nil no-op budget.
+func (ix *Index) queryBudget(req *request) *budget.B {
+	b := budget.New(req.opt.MaxDecodedBytes, req.opt.MaxCandidates)
+	if b == nil && (req.meter || ix.qlog.Load().Enabled()) {
 		b = budget.Meter()
 	}
 	return b
@@ -260,10 +269,10 @@ func (ix *Index) run(ctx context.Context, req request) (out outcome) {
 	start := time.Now()
 	ix.pinned.Add(1)
 	out.eng = req.engineSlot()
-	bdg := ix.queryBudget(req.opt)
+	out.bdg = ix.queryBudget(&req)
 	defer func() {
 		ix.pinned.Add(-1)
-		ix.finish(&req, &out, time.Since(start), bdg, 0)
+		ix.finish(&req, &out, time.Since(start), 0)
 	}()
 	defer guard(&out.err)
 	ctx, cancel := withTimeout(ctx, req.opt)
@@ -278,7 +287,7 @@ func (ix *Index) run(ctx context.Context, req request) (out outcome) {
 		}
 		s := ix.view()
 		q := exec.Query{Keywords: req.keywords, Semantics: int(req.opt.Semantics), K: req.k,
-			Decay: effectiveDecay(req.opt.Decay), Budget: bdg, AllowPartial: req.opt.AllowPartial}
+			Decay: effectiveDecay(req.opt.Decay), Budget: out.bdg, AllowPartial: req.opt.AllowPartial}
 		if req.dropRoot && q.K > 0 {
 			q.K++ // the root may occupy a slot
 		}
@@ -287,16 +296,22 @@ func (ix *Index) run(ctx context.Context, req request) (out outcome) {
 			// opt.Algorithm says.
 			e := engines.ForStream()
 			caps = e.Caps
+			if req.tr != nil {
+				out.plan = publicPlan(s, q, e, nil, "streamed: the one streaming engine")
+			}
 			snk := req.sink(ix.qlog.Load().Enabled())
 			_, meta, err := e.Stream(ctx, s, q, req.tr, snk.deliver)
 			out.n, out.fp, out.meta = snk.n, snk.fp, meta
 			return err
 		}
-		e, err := ix.resolveEngine(s, q, req.opt.Algorithm, req.op == opTopK, req.tr)
+		e, p, err := ix.resolveEngine(s, q, req.opt.Algorithm, req.op == opTopK, req.tr)
 		if err != nil {
 			return err
 		}
 		out.eng, caps = e.Obs, e.Caps
+		if req.tr != nil { // the executed plan; untraced requests build none
+			out.plan = publicPlan(s, q, e, p, "explicitly selected: "+req.opt.Algorithm.String())
+		}
 		out.rs, out.meta, err = e.Run(ctx, s, q, req.tr)
 		return err
 	}()
@@ -357,28 +372,29 @@ func dropLevel1(rs []Result) []Result {
 }
 
 // resolveEngine picks the engine for a resolved query: a registry lookup
-// for an explicit algorithm, the cost-based planner for AlgoAuto.
-func (ix *Index) resolveEngine(s *snapshot, q exec.Query, algo Algorithm, topK bool, tr *obs.Trace) (*queryEngine, error) {
+// for an explicit algorithm, the cost-based planner for AlgoAuto — whose
+// plan it returns too (nil for an explicit algorithm).
+func (ix *Index) resolveEngine(s *snapshot, q exec.Query, algo Algorithm, topK bool, tr *obs.Trace) (*queryEngine, *exec.Plan, error) {
 	sp := tr.Stage(obs.StagePlan)
 	defer tr.End(sp)
 	if algo != AlgoAuto {
 		if e := engines.ForAlgo(int(algo), topK); e != nil {
-			return e, nil
+			return e, nil, nil
 		}
 		if engines.HasAlgo(int(algo)) {
-			return nil, fmt.Errorf("xmlsearch: algorithm %v is top-K only; use TopK", algo)
+			return nil, nil, fmt.Errorf("xmlsearch: algorithm %v is top-K only; use TopK", algo)
 		}
-		return nil, fmt.Errorf("xmlsearch: unknown algorithm %v", algo)
+		return nil, nil, fmt.Errorf("xmlsearch: unknown algorithm %v", algo)
 	}
 	p, err := ix.planAuto(s, q, tr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e := engines.ByName(p.Engine)
 	if e == nil {
-		return nil, fmt.Errorf("xmlsearch: planned engine %q is not registered", p.Engine)
+		return nil, nil, fmt.Errorf("xmlsearch: planned engine %q is not registered", p.Engine)
 	}
-	return e, nil
+	return e, p, nil
 }
 
 // planAuto returns the cost-based plan for the query against the pinned

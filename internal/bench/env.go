@@ -37,6 +37,8 @@ type Env struct {
 	// Obs accumulates per-engine query counters and latency histograms
 	// across every Run* call, for xkwbench -metrics.
 	Obs *obs.Metrics
+	// Traces, when set, keeps the slow queries (xkwbench -slow).
+	Traces *obs.TraceStore
 }
 
 // NewEnv indexes a generated dataset for all engines.
@@ -56,9 +58,14 @@ func NewEnv(ds *gen.Dataset) *Env {
 	return e
 }
 
-// record accounts one benchmark query into the environment's metrics.
+// record accounts one benchmark query into the environment's metrics and
+// offers it to the slow-query log when one is installed.
 func (e *Env) record(eng obs.Engine, q []string, k int, start time.Time, n int) {
-	e.Obs.RecordQuery(eng, strings.Join(q, " "), k, time.Since(start), n, nil, nil)
+	elapsed := time.Since(start)
+	e.Obs.RecordQuery(eng, elapsed, n, nil)
+	if e.Traces != nil {
+		e.Traces.Add(eng, strings.Join(q, " "), k, elapsed, n, nil, nil)
+	}
 }
 
 // NewDBLPEnv and NewXMarkEnv build the two standard environments.

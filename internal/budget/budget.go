@@ -116,6 +116,17 @@ func (b *B) NoteCacheHit() {
 	b.cacheHits.Add(1)
 }
 
+// Add folds o's consumption into b, as a coordinator sums its shards'
+// profiles. Nil-safe on both.
+func (b *B) Add(o *B) {
+	if b == nil || o == nil {
+		return
+	}
+	b.decoded.Add(o.Decoded())
+	b.candidates.Add(o.Candidates())
+	b.cacheHits.Add(o.CacheHits())
+}
+
 // CacheHits returns the decoded-list cache hits noted so far. Nil-safe.
 func (b *B) CacheHits() int64 {
 	if b == nil {

@@ -15,9 +15,9 @@ import (
 func TestPublishExpvarLastWins(t *testing.T) {
 	const name = "xkw_obs_test_last_wins"
 	a, b := NewMetrics(), NewMetrics()
-	a.RecordQuery(EngineJoin, "one", 0, time.Millisecond, 1, nil, nil)
-	b.RecordQuery(EngineJoin, "two", 0, time.Millisecond, 2, nil, nil)
-	b.RecordQuery(EngineJoin, "three", 0, time.Millisecond, 3, nil, nil)
+	a.RecordQuery(EngineJoin, time.Millisecond, 1, nil)
+	b.RecordQuery(EngineJoin, time.Millisecond, 2, nil)
+	b.RecordQuery(EngineJoin, time.Millisecond, 3, nil)
 
 	a.PublishExpvar(name)
 	a.PublishExpvar(name) // republishing the same registry is a no-op

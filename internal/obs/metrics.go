@@ -556,26 +556,11 @@ func (w *WriterMetrics) Snapshot() WriterSnapshot {
 	}
 }
 
-// SlowQuery is one entry of the slow-query log.
-type SlowQuery struct {
-	When     time.Time     `json:"when"`
-	Engine   string        `json:"engine"`
-	Query    string        `json:"query"`
-	K        int           `json:"k,omitempty"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
-	Results  int           `json:"results"`
-	Err      string        `json:"err,omitempty"`
-	TraceSig string        `json:"trace,omitempty"`
-}
-
-// slowLogCap bounds the slow-query ring buffer.
-const slowLogCap = 64
-
 // Metrics is the process-wide (or per-index) metrics registry: per-engine
 // query counters and latency histograms, column-store read counters, and
-// a bounded slow-query log. Recording on the query path is lock-free; the
-// slow-query log takes a mutex, but only for queries already past the
-// configured latency threshold.
+// the serving, write-path and attribution families. Recording on the
+// query path is lock-free. The slow-query log is the keep-ring of the
+// installed TraceStore, not part of the registry.
 type Metrics struct {
 	engines [numEngines]EngineMetrics
 	Store   StoreCounters
@@ -591,16 +576,9 @@ type Metrics struct {
 	// shardGauges, when set, samples per-shard gauge rows of a sharded
 	// index (see SetShardSource).
 	shardGauges atomic.Pointer[shardSource]
-
-	slowThresholdNs Counter // configured slow-query latency threshold (0 = disabled)
-
-	slowMu   sync.Mutex
-	slowRing [slowLogCap]SlowQuery
-	slowLen  int
-	slowNext int
 }
 
-// NewMetrics returns a ready registry with the slow-query log disabled.
+// NewMetrics returns a ready registry.
 func NewMetrics() *Metrics { return &Metrics{} }
 
 // Engine returns the metric set of one engine for direct recording.
@@ -611,31 +589,9 @@ func (m *Metrics) Engine(e Engine) *EngineMetrics {
 	return &m.engines[e]
 }
 
-// SetSlowQueryThreshold sets the latency past which a query is captured
-// in the slow-query log. Zero or negative disables the log.
-func (m *Metrics) SetSlowQueryThreshold(d time.Duration) {
-	if m == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	// Counter is monotonic in spirit only; store the raw value.
-	m.slowThresholdNs.v.Store(int64(d))
-}
-
-// SlowQueryThreshold returns the configured threshold (0 = disabled).
-func (m *Metrics) SlowQueryThreshold() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return time.Duration(m.slowThresholdNs.Load())
-}
-
-// RecordQuery records one completed query: engine counters, latency
-// histogram, and — if elapsed exceeds the slow-query threshold — a
-// slow-log entry. Nil-safe.
-func (m *Metrics) RecordQuery(e Engine, query string, k int, elapsed time.Duration, results int, err error, tr *Trace) {
+// RecordQuery records one completed query: engine counters and the
+// latency histogram. Nil-safe.
+func (m *Metrics) RecordQuery(e Engine, elapsed time.Duration, results int, err error) {
 	if m == nil || int(e) >= int(numEngines) {
 		return
 	}
@@ -650,53 +606,12 @@ func (m *Metrics) RecordQuery(e Engine, query string, k int, elapsed time.Durati
 			em.Errors.Inc()
 		}
 	}
-	if th := m.SlowQueryThreshold(); th > 0 && elapsed >= th {
-		sq := SlowQuery{
-			When:    time.Now(),
-			Engine:  e.String(),
-			Query:   query,
-			K:       k,
-			Elapsed: elapsed,
-			Results: results,
-		}
-		if err != nil {
-			sq.Err = err.Error()
-		}
-		if tr != nil {
-			sq.TraceSig = tr.Signature()
-		}
-		m.slowMu.Lock()
-		m.slowRing[m.slowNext] = sq
-		m.slowNext = (m.slowNext + 1) % slowLogCap
-		if m.slowLen < slowLogCap {
-			m.slowLen++
-		}
-		m.slowMu.Unlock()
-	}
 }
 
 // isCancel reports whether err is a context cancellation; the facade
 // propagates context errors unwrapped or wrapped, so errors.Is suffices.
 func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// SlowQueries returns the slow-query log, oldest first.
-func (m *Metrics) SlowQueries() []SlowQuery {
-	if m == nil {
-		return nil
-	}
-	m.slowMu.Lock()
-	defer m.slowMu.Unlock()
-	out := make([]SlowQuery, 0, m.slowLen)
-	start := m.slowNext - m.slowLen
-	if start < 0 {
-		start += slowLogCap
-	}
-	for i := 0; i < m.slowLen; i++ {
-		out = append(out, m.slowRing[(start+i)%slowLogCap])
-	}
-	return out
 }
 
 // EngineSnapshot is a point-in-time copy of one engine's metrics.
@@ -724,7 +639,6 @@ type Snapshot struct {
 	Process     ProcessSnapshot     `json:"process"`
 	Gauges      Gauges              `json:"gauges"`
 	ShardGauges []ShardGauge        `json:"shard_gauges,omitempty"`
-	SlowQueries []SlowQuery         `json:"slow_queries,omitempty"`
 }
 
 // Snapshot copies every counter in the registry and samples the installed
@@ -733,7 +647,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
 		return Snapshot{}
 	}
-	s := Snapshot{Store: m.Store.Snapshot(), Writer: m.Writer.Snapshot(), Planner: m.Planner.Snapshot(), Serving: m.Serving.Snapshot(), QLog: m.QLog.Snapshot(), Shard: m.Shard.Snapshot(), WAL: m.WAL.Snapshot(), Compaction: m.Compact.Snapshot(), Attribution: m.Stage.Snapshot(), Process: CurrentProcess(), SlowQueries: m.SlowQueries()}
+	s := Snapshot{Store: m.Store.Snapshot(), Writer: m.Writer.Snapshot(), Planner: m.Planner.Snapshot(), Serving: m.Serving.Snapshot(), QLog: m.QLog.Snapshot(), Shard: m.Shard.Snapshot(), WAL: m.WAL.Snapshot(), Compaction: m.Compact.Snapshot(), Attribution: m.Stage.Snapshot(), Process: CurrentProcess()}
 	if src := m.gauges.Load(); src != nil {
 		s.Gauges = (*src)()
 	}

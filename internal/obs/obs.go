@@ -13,9 +13,10 @@
 //     their own `if tr != nil`, so a query that never asked for a trace
 //     pays one pointer comparison per instrumentation site.
 //   - Metrics: counters are single atomic adds; histograms are one atomic
-//     add into a fixed bucket array. No locks on the query path (the
-//     slow-query log takes a mutex, but only for queries that already
-//     exceeded the latency threshold).
+//     add into a fixed bucket array. No locks on the query path (an
+//     installed TraceStore takes a mutex for a traced query, or an
+//     untraced one it keeps in its slow-query ring; ordinary untraced
+//     traffic returns before it).
 package obs
 
 import (

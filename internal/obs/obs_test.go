@@ -132,9 +132,9 @@ func TestHistogram(t *testing.T) {
 
 func TestMetricsRecordAndSlowLog(t *testing.T) {
 	m := NewMetrics()
-	m.RecordQuery(EngineTopK, "a b", 5, 2*time.Millisecond, 3, nil, nil)
-	m.RecordQuery(EngineTopK, "a b", 5, time.Millisecond, 0, errors.New("boom"), nil)
-	m.RecordQuery(EngineJoin, "c", 0, time.Millisecond, 1, context.Canceled, nil)
+	m.RecordQuery(EngineTopK, 2*time.Millisecond, 3, nil)
+	m.RecordQuery(EngineTopK, time.Millisecond, 0, errors.New("boom"))
+	m.RecordQuery(EngineJoin, time.Millisecond, 1, context.Canceled)
 	s := m.Snapshot()
 	var topk, join EngineSnapshot
 	for _, e := range s.Engines {
@@ -151,33 +151,25 @@ func TestMetricsRecordAndSlowLog(t *testing.T) {
 	if join.Cancelled != 1 || join.Errors != 0 {
 		t.Fatalf("join snapshot = %+v", join)
 	}
-	if len(s.SlowQueries) != 0 {
-		t.Fatal("slow log captured with threshold disabled")
-	}
 
-	m.SetSlowQueryThreshold(time.Millisecond)
+	// The slow log is the trace store's keep-ring. Without a store nothing
+	// is captured; a slow traced query is listed with its trace, whose
+	// events survive in the store, while a fast one is only sampled.
+	var none *TraceStore
+	if none.Add(EngineTopK, "q", 1, time.Hour, 1, nil, nil) != 0 || none.Kept() != nil {
+		t.Fatal("slow log captured without a store")
+	}
+	ts := NewTraceStore(8, 8, time.Millisecond, 1)
 	tr := NewTrace()
 	tr.JoinOrder("rows:1", 1, 1, 1)
-	m.RecordQuery(EngineTopK, "slow one", 10, 5*time.Millisecond, 7, nil, tr)
-	m.RecordQuery(EngineTopK, "fast one", 10, 10*time.Microsecond, 7, nil, nil)
-	slow := m.SlowQueries()
-	if len(slow) != 1 || slow[0].Query != "slow one" || slow[0].K != 10 {
+	slowID := ts.Add(EngineTopK, "slow one", 10, 5*time.Millisecond, 7, nil, tr)
+	ts.Add(EngineTopK, "fast one", 10, 10*time.Microsecond, 7, nil, NewTrace())
+	slow := ts.Kept()
+	if len(slow) != 1 || slow[0].Query != "slow one" || slow[0].K != 10 || slow[0].ID != slowID {
 		t.Fatalf("slow log = %+v", slow)
 	}
-	if !strings.Contains(slow[0].TraceSig, "join-order") {
-		t.Fatalf("slow entry missing trace signature: %+v", slow[0])
-	}
-}
-
-func TestSlowLogRingWraps(t *testing.T) {
-	m := NewMetrics()
-	m.SetSlowQueryThreshold(1)
-	for i := 0; i < slowLogCap+5; i++ {
-		m.RecordQuery(EngineJoin, string(rune('a'+i%26)), 0, time.Second, 0, nil, nil)
-	}
-	slow := m.SlowQueries()
-	if len(slow) != slowLogCap {
-		t.Fatalf("slow log len = %d, want %d", len(slow), slowLogCap)
+	if st, _ := ts.Get(slowID); len(st.Events) != 1 || st.Events[0].Kind != EvJoinOrder {
+		t.Fatalf("slow entry lost its trace: %+v", st.Events)
 	}
 }
 
@@ -204,7 +196,7 @@ func TestStoreCountersNilSafe(t *testing.T) {
 
 func TestExposition(t *testing.T) {
 	m := NewMetrics()
-	m.RecordQuery(EngineTopK, "q", 3, time.Millisecond, 2, nil, nil)
+	m.RecordQuery(EngineTopK, time.Millisecond, 2, nil)
 	m.Store.RecordDecode(4, 100, 400)
 	s := m.Snapshot()
 
@@ -242,7 +234,7 @@ func TestExposition(t *testing.T) {
 
 func TestSnapshotConcurrentWithRecording(t *testing.T) {
 	m := NewMetrics()
-	m.SetSlowQueryThreshold(1)
+	ts := NewTraceStore(0, 0, 1, 1) // every query is slow: the slow log records too
 	const perG, goroutines = 500, 4
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -250,16 +242,21 @@ func TestSnapshotConcurrentWithRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				m.RecordQuery(EngineTopK, "q", 1, time.Millisecond, 1, nil, nil)
+				m.RecordQuery(EngineTopK, time.Millisecond, 1, nil)
+				ts.Add(EngineTopK, "q", 1, time.Millisecond, 1, nil, nil)
 				m.Store.RecordDecode(1, 1, 1)
 			}
 		}()
 	}
 	for i := 0; i < 200; i++ {
 		_ = m.Snapshot()
+		_ = ts.Kept()
 	}
 	wg.Wait()
 	if got := m.Snapshot().Engines[int(EngineTopK)].Queries; got != perG*goroutines {
 		t.Fatalf("queries = %d, want %d", got, perG*goroutines)
+	}
+	if got := len(ts.Kept()); got != DefaultKeepTraces {
+		t.Fatalf("slow log holds %d entries, want the full ring of %d", got, DefaultKeepTraces)
 	}
 }

@@ -275,7 +275,7 @@ func checkExposition(t *testing.T, text string) {
 func TestWritePrometheusParses(t *testing.T) {
 	m := NewMetrics()
 	for i, e := range Engines() {
-		m.RecordQuery(e, fmt.Sprintf("query %d", i), i, time.Duration(i+1)*time.Millisecond, i, nil, nil)
+		m.RecordQuery(e, time.Duration(i+1)*time.Millisecond, i, nil)
 	}
 	m.Store.RecordOpen()
 	m.Store.RecordDecode(3, 100, 400)

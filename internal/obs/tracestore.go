@@ -18,10 +18,12 @@ import (
 //     above the slow threshold (a threshold of 0 marks every trace slow,
 //     which is how a debugging session forces full capture) — goes into a
 //     ring of keepCap entries. Nothing evicts an interesting trace except
-//     ring wrap-around, i.e. newer interesting traces.
-//   - The rest are reservoir-sampled into sampleCap slots, so the store
-//     always holds a uniform sample of ordinary traffic to compare the
-//     tail against.
+//     ring wrap-around, i.e. newer interesting traces. An interesting
+//     query that ran untraced goes into the ring too, without spans, so
+//     the ring is the one slow-query log (Kept).
+//   - The rest of the traced queries are reservoir-sampled into sampleCap
+//     slots, so the store always holds a uniform sample of ordinary
+//     traffic to compare the tail against.
 //
 // Both bounds are fixed at construction, so the store's memory is capped
 // regardless of traffic. Sampling decisions use only the recorded latency,
@@ -174,16 +176,21 @@ func (ts *TraceStore) classify(elapsed time.Duration, err error) string {
 	}
 }
 
-// Add offers one completed query trace to the store. Interesting traces
-// (anything but KindSampled) are always retained; ordinary ones pass
-// through the reservoir. On retention the trace is stamped with its new ID
-// (also returned); a reservoir rejection returns 0 and retains nothing.
-// Nil-safe on both receiver and trace.
+// Add offers one completed query to the store. Interesting queries
+// (anything but KindSampled) are always retained; ordinary traced ones
+// pass through the reservoir. An untraced query (nil tr) is retained only
+// when it is interesting, without spans or events, and ordinary untraced
+// traffic returns before the lock. On retention the entry is stamped with
+// its new ID (also returned, and set on tr); a rejection returns 0 and
+// retains nothing. Nil-safe on both receiver and trace.
 func (ts *TraceStore) Add(engine Engine, query string, k int, elapsed time.Duration, results int, err error, tr *Trace) uint64 {
-	if ts == nil || tr == nil {
+	if ts == nil {
 		return 0
 	}
 	kind := ts.classify(elapsed, err)
+	if tr == nil && kind == KindSampled {
+		return 0
+	}
 	st := StoredTrace{
 		Engine:  engine.String(),
 		Query:   query,
@@ -191,14 +198,14 @@ func (ts *TraceStore) Add(engine Engine, query string, k int, elapsed time.Durat
 		Elapsed: elapsed,
 		Results: results,
 		Kind:    kind,
-		Spans:   tr.Spans(),
-		Events:  tr.Events(),
-		Dropped: tr.Dropped(),
 	}
 	if err != nil {
 		st.Err = err.Error()
 	}
-	st.Stages = tr.Breakdown(elapsed)
+	if tr != nil {
+		st.Spans, st.Events, st.Dropped = tr.Spans(), tr.Events(), tr.Dropped()
+		st.Stages = tr.Breakdown(elapsed)
+	}
 
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -211,7 +218,9 @@ func (ts *TraceStore) Add(engine Engine, query string, k int, elapsed time.Durat
 			ts.keep[ts.keepNext] = st
 		}
 		ts.keepNext = (ts.keepNext + 1) % ts.keepCap
-		tr.id = st.ID
+		if tr != nil {
+			tr.id = st.ID
+		}
 		return st.ID
 	}
 	// Algorithm R over the ordinary traffic: the i-th offer survives with
@@ -234,6 +243,23 @@ func (ts *TraceStore) Add(engine Engine, query string, k int, elapsed time.Durat
 	return st.ID
 }
 
+// summary is the listing form of a stored trace.
+func (st *StoredTrace) summary() TraceSummary {
+	return TraceSummary{
+		ID:      st.ID,
+		Engine:  st.Engine,
+		Query:   st.Query,
+		K:       st.K,
+		Elapsed: st.Elapsed,
+		Results: st.Results,
+		Err:     st.Err,
+		Kind:    st.Kind,
+		Spans:   len(st.Spans),
+		Events:  len(st.Events),
+		Dropped: st.Dropped,
+	}
+}
+
 // Traces lists every retained trace as a summary, newest first.
 func (ts *TraceStore) Traces() []TraceSummary {
 	if ts == nil {
@@ -242,30 +268,33 @@ func (ts *TraceStore) Traces() []TraceSummary {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	out := make([]TraceSummary, 0, len(ts.keep)+len(ts.sample))
-	add := func(st *StoredTrace) {
-		out = append(out, TraceSummary{
-			ID:      st.ID,
-			Engine:  st.Engine,
-			Query:   st.Query,
-			K:       st.K,
-			Elapsed: st.Elapsed,
-			Results: st.Results,
-			Err:     st.Err,
-			Kind:    st.Kind,
-			Spans:   len(st.Spans),
-			Events:  len(st.Events),
-			Dropped: st.Dropped,
-		})
-	}
 	for i := range ts.keep {
-		add(&ts.keep[i])
+		out = append(out, ts.keep[i].summary())
 	}
 	for i := range ts.sample {
-		add(&ts.sample[i])
+		out = append(out, ts.sample[i].summary())
 	}
 	// IDs are assigned in retention order, so sorting by ID descending is
 	// newest-first without consulting any clock.
 	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
+	return out
+}
+
+// Kept lists the keep-ring — every retained slow, failed or cancelled
+// query, traced or not — as summaries, oldest first. It is the slow-query
+// log.
+func (ts *TraceStore) Kept() []TraceSummary {
+	if ts == nil {
+		return nil
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	out := make([]TraceSummary, 0, len(ts.keep))
+	// keepNext is the oldest slot once the ring has wrapped, and equals
+	// its length (the first slot, modulo that length) before.
+	for i := range ts.keep {
+		out = append(out, ts.keep[(ts.keepNext+i)%len(ts.keep)].summary())
+	}
 	return out
 }
 

@@ -166,3 +166,50 @@ func TestTraceStoreExemplarLinkage(t *testing.T) {
 		t.Fatalf("no bucket carries exemplar trace %d", id)
 	}
 }
+
+// TestTraceStoreKeepsUntracedInteresting: an untraced query that is slow
+// or failed is kept in the ring without spans or events; an untraced fast
+// one is dropped and touches neither the ring nor the reservoir.
+func TestTraceStoreKeepsUntracedInteresting(t *testing.T) {
+	ts := NewTraceStore(4, 2, 10*time.Millisecond, 1)
+	slowID := ts.Add(EngineStack, "slow", 3, 20*time.Millisecond, 2, nil, nil)
+	errID := ts.Add(EngineJoin, "error", 0, time.Millisecond, 0, errors.New("boom"), nil)
+	if fastID := ts.Add(EngineJoin, "fast", 0, time.Millisecond, 1, nil, nil); fastID != 0 {
+		t.Fatalf("untraced fast query retained as %d", fastID)
+	}
+	for id, kind := range map[uint64]string{slowID: KindSlow, errID: KindError} {
+		st, ok := ts.Get(id)
+		if id == 0 || !ok || st.Kind != kind {
+			t.Fatalf("untraced %s query: id=%d found=%v kind=%q", kind, id, ok, st.Kind)
+		}
+		if len(st.Spans) != 0 || len(st.Events) != 0 || st.Stages != nil {
+			t.Fatalf("untraced %s query kept a payload: %+v", kind, st)
+		}
+	}
+	if ts.Len() != 2 {
+		t.Fatalf("store holds %d entries, want the 2 interesting ones", ts.Len())
+	}
+	kept := ts.Kept()
+	if len(kept) != 2 || kept[0].Query != "slow" || kept[0].Engine != "stack" || kept[0].K != 3 || kept[1].Err != "boom" {
+		t.Fatalf("slow log = %+v", kept)
+	}
+}
+
+// TestSlowLogRingWraps: the slow log is bounded by the ring and lists
+// the newest keepCap entries, oldest first.
+func TestSlowLogRingWraps(t *testing.T) {
+	const keep = 8
+	ts := NewTraceStore(keep, 1, 1, 1)
+	for i := 0; i < keep+5; i++ {
+		ts.Add(EngineJoin, fmt.Sprintf("q%d", i), 0, time.Second, 0, nil, nil)
+	}
+	slow := ts.Kept()
+	if len(slow) != keep {
+		t.Fatalf("slow log len = %d, want %d", len(slow), keep)
+	}
+	for i, s := range slow {
+		if want := fmt.Sprintf("q%d", i+5); s.Query != want {
+			t.Fatalf("slow log[%d] = %q, want %q (oldest first)", i, s.Query, want)
+		}
+	}
+}

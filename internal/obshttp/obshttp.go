@@ -1,15 +1,16 @@
 // Package obshttp is the operational plane of a serving index: one
 // http.Handler exposing Prometheus and JSON metrics, liveness/readiness
-// probes backed by the storage layer's self-verification, the slow-query
-// log, the tail-sampled trace store, the Go runtime profiles, and a
-// query endpoint whose every execution is traced and offered to the
-// trace store — so an operator can go from "p99 spiked" to the span
-// tree of an actual slow query without redeploying.
+// probes backed by the storage layer's self-verification, the
+// tail-sampled trace store and its keep-ring as the slow-query log, the
+// Go runtime profiles, and a query endpoint whose every execution is
+// traced and offered to the trace store — so an operator can go from
+// "p99 spiked" to the span tree of an actual slow query without
+// redeploying.
 //
 // The handler holds only a Server — the observability-and-query slice
 // of the facade that both *xmlsearch.Index and *xmlsearch.Sharded
 // implement; all state it serves is the index's own observability
-// surface (Metrics, Health, SlowQueries, TraceStore). It is safe for
+// surface (Metrics, Health, TraceStore, QueryLog). It is safe for
 // concurrent use and adds no locks of its own beyond what those
 // surfaces already guarantee.
 package obshttp
@@ -69,12 +70,10 @@ type Server interface {
 	Metrics() *obs.Metrics
 	Stats() obs.Snapshot
 	Health() xmlsearch.Health
-	SlowQueries() []obs.SlowQuery
 	TraceStore() *obs.TraceStore
 	QueryLog() *qlog.Recorder
 	SearchTraced(ctx context.Context, query string, opt xmlsearch.SearchOptions) ([]xmlsearch.Result, *xmlsearch.QueryStats, error)
 	TopKTraced(ctx context.Context, query string, k int, opt xmlsearch.SearchOptions) ([]xmlsearch.Result, *xmlsearch.QueryStats, error)
-	Plan(query string, k int, opt xmlsearch.SearchOptions) (*xmlsearch.QueryPlan, error)
 }
 
 // shardIntrospector is the optional extension a sharded index adds on
@@ -121,7 +120,8 @@ var testHookQueryStart func(ctx context.Context)
 //	GET /metrics.json      full metrics snapshot as JSON (incl. exemplars)
 //	GET /healthz           liveness: 200 once the process serves
 //	GET /readyz            readiness: storage Health(); 503 on file damage
-//	GET /slow              slow-query log, NDJSON, oldest first
+//	GET /slow              slow-query log (the trace store's keep-ring),
+//	                       NDJSON, oldest first
 //	GET /qlog              flight-recorder recent ring, NDJSON, oldest first
 //	GET /version           build identity + process runtime state (JSON)
 //	GET /traces            tail-sampled trace summaries, newest first
@@ -179,7 +179,7 @@ func (h *Handler) root(w http.ResponseWriter, r *http.Request) {
   /metrics.json     metrics snapshot (JSON, with exemplar trace IDs)
   /healthz          liveness
   /readyz           readiness (storage self-verification)
-  /slow             slow-query log (NDJSON)
+  /slow             slow-query log: the trace store's keep-ring (NDJSON)
   /qlog             query flight recorder, recent records (NDJSON)
   /attribution      per-stage / per-shard latency attribution (JSON)
   /version          build identity + process state (JSON)
@@ -251,12 +251,17 @@ func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// slow streams the slow-query log as NDJSON, one obs.SlowQuery per line,
-// oldest first — the shape `jq` and log shippers want.
+// slow streams the slow-query log — the trace store's keep-ring of slow,
+// failed and cancelled queries — as NDJSON, one obs.TraceSummary per
+// line, oldest first: the shape `jq` and log shippers want.
 func (h *Handler) slow(w http.ResponseWriter, r *http.Request) {
+	ts := h.store(w)
+	if ts == nil {
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	for _, sq := range h.ix.SlowQueries() {
+	for _, sq := range ts.Kept() {
 		if enc.Encode(sq) != nil {
 			return
 		}
@@ -437,10 +442,12 @@ type searchResponse struct {
 	// UnseenBound is the engine's bound on any unreturned result's score.
 	Partial     bool    `json:"partial,omitempty"`
 	UnseenBound float64 `json:"unseen_bound,omitempty"`
-	// Plan is the query plan the evaluation resolved through (always the
-	// trivially planned engine for explicit ?engine= values; the
-	// cost-based choice for engine=auto).
-	Plan *xmlsearch.QueryPlan `json:"plan,omitempty"`
+	// Plan is the plan an unsharded index ran (the trivially planned engine
+	// for explicit ?engine= values; the cost-based choice for
+	// engine=auto). A sharded index reports ShardEngines instead: the
+	// engine each shard ran, in shard order.
+	Plan         *xmlsearch.QueryPlan `json:"plan,omitempty"`
+	ShardEngines []string             `json:"shard_engines,omitempty"`
 }
 
 // parseSearchOptions parses the option parameters shared by every /search
@@ -606,9 +613,6 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	if rs == nil {
 		rs = []xmlsearch.Result{}
 	}
-	// Best-effort: the plan is diagnostic context, a planning error must
-	// not fail a query that already succeeded.
-	plan, _ := h.ix.Plan(q, k, opt)
 	resp := searchResponse{
 		Query:   q,
 		Engine:  qs.Engine,
@@ -617,10 +621,13 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		Results: rs,
 		TraceID: qs.TraceID,
 		Partial: qs.Partial,
-		Plan:    plan,
+		Plan:    qs.Plan,
 	}
 	if si, ok := h.ix.(shardIntrospector); ok {
 		resp.Shards = si.Shards()
+	}
+	for _, p := range qs.ShardPlans { // set for every shard of a query that succeeded
+		resp.ShardEngines = append(resp.ShardEngines, p.Engine)
 	}
 	if qs.Partial {
 		resp.UnseenBound = qs.UnseenBound

@@ -114,20 +114,75 @@ func TestHealthRoutes(t *testing.T) {
 }
 
 func TestSlowLogRoute(t *testing.T) {
-	ix, srv := newServer(t)
-	ix.SetSlowQueryThreshold(time.Nanosecond) // everything is slow
+	_, srv := newServer(t) // threshold 0: everything is slow
 	get(t, srv.URL+"/search?q=xml", http.StatusOK)
 	body := string(get(t, srv.URL+"/slow", http.StatusOK))
 	lines := strings.Split(strings.TrimSpace(body), "\n")
 	if len(lines) == 0 || lines[0] == "" {
 		t.Fatal("slow log empty after a slow query")
 	}
-	var sq obs.SlowQuery
+	var sq obs.TraceSummary
 	if err := json.Unmarshal([]byte(lines[0]), &sq); err != nil {
 		t.Fatalf("slow log line is not JSON: %v\n%s", err, lines[0])
 	}
 	if sq.Query != "xml" {
 		t.Errorf("slow query = %q, want \"xml\"", sq.Query)
+	}
+}
+
+// TestSlowLogListsUntracedQueries: /slow is the trace store's keep-ring,
+// so a slow query that ran untraced (a plain TopK, not /search) and an
+// untraced failure are listed, without spans; with no store there is no
+// slow log.
+func TestSlowLogListsUntracedQueries(t *testing.T) {
+	ix, err := xmlsearch.Open(strings.NewReader(testXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(ix, Options{}))
+	t.Cleanup(srv.Close)
+	get(t, srv.URL+"/slow", http.StatusNotFound)
+
+	ix.SetTraceStore(obs.NewTraceStore(8, 8, time.Nanosecond, 1))
+	if _, err := ix.TopK("xml", 3, xmlsearch.SearchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Search("xml", xmlsearch.SearchOptions{Algorithm: xmlsearch.AlgoRDIL}); err == nil {
+		t.Fatal("rdil complete evaluation succeeded")
+	}
+	lines := strings.Split(strings.TrimSpace(string(get(t, srv.URL+"/slow", http.StatusOK))), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("slow log has %d lines, want 2: %q", len(lines), lines)
+	}
+	var slow, failed obs.TraceSummary
+	if json.Unmarshal([]byte(lines[0]), &slow) != nil || json.Unmarshal([]byte(lines[1]), &failed) != nil {
+		t.Fatalf("slow log lines are not JSON: %q", lines)
+	}
+	if slow.Query != "xml" || slow.Kind != obs.KindSlow || slow.Spans != 0 || slow.ID == 0 {
+		t.Errorf("slow entry = %+v, want the untraced xml query without spans", slow)
+	}
+	if failed.Kind != obs.KindError || failed.Err == "" || failed.Spans != 0 {
+		t.Errorf("error entry = %+v, want the untraced failure without spans", failed)
+	}
+}
+
+// TestSearchPlansOnce: an engine=auto /search builds one plan — the one
+// it runs — and reports that plan.
+func TestSearchPlansOnce(t *testing.T) {
+	ix, srv := newServer(t)
+	before := ix.Stats().Planner.AutoPlans
+	var sr struct {
+		Engine string               `json:"engine"`
+		Plan   *xmlsearch.QueryPlan `json:"plan"`
+	}
+	if err := json.Unmarshal(get(t, srv.URL+"/search?q=keyword+search&k=3&engine=auto", http.StatusOK), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Stats().Planner.AutoPlans - before; got != 1 {
+		t.Errorf("one engine=auto /search built %d cost-based plans, want 1", got)
+	}
+	if sr.Plan == nil || !sr.Plan.Auto || sr.Plan.Engine != sr.Engine {
+		t.Errorf("/search engine %q with plan %+v, want the cost-based plan that ran", sr.Engine, sr.Plan)
 	}
 }
 
@@ -268,7 +323,6 @@ func TestServeOnDiskIndexEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SetSlowQueryThreshold(time.Nanosecond)
 	ix.SetTraceStore(obs.NewTraceStore(obs.DefaultKeepTraces, obs.DefaultSampleTraces, 0, 1))
 	srv := httptest.NewServer(NewHandler(ix, Options{}))
 	defer srv.Close()

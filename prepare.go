@@ -146,50 +146,31 @@ func (ix *Index) Plan(query string, k int, opt SearchOptions) (*QueryPlan, error
 func (ix *Index) planFor(keywords []string, k int, opt SearchOptions) (*QueryPlan, error) {
 	s := ix.view()
 	q := exec.Query{Keywords: keywords, Semantics: int(opt.Semantics), K: k, Decay: effectiveDecay(opt.Decay)}
-	if opt.Algorithm != AlgoAuto {
-		e, err := ix.resolveEngine(s, q, opt.Algorithm, k > 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		ix.metrics.Planner.RecordPlan(false)
-		out := &QueryPlan{
-			Keywords:   keywords,
-			Semantics:  opt.Semantics,
-			K:          exec.KBucket(k),
-			Engine:     e.Name,
-			Reason:     "explicitly selected: " + opt.Algorithm.String(),
-			Generation: s.gen,
-		}
-		out.Lists = listInfos(s, keywords)
-		return out, nil
-	}
-	p, err := ix.planAuto(s, q, nil)
+	e, p, err := ix.resolveEngine(s, q, opt.Algorithm, k > 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := &QueryPlan{
-		Keywords:   p.Keywords,
-		Semantics:  Semantics(p.Semantics),
-		K:          p.K,
-		Engine:     p.Engine,
-		Reason:     p.Reason,
-		Auto:       p.Auto,
-		Generation: p.Generation,
+	if p == nil {
+		ix.metrics.Planner.RecordPlan(false)
 	}
+	return publicPlan(s, q, e, p, "explicitly selected: "+opt.Algorithm.String()), nil
+}
+
+// publicPlan is the public view of an engine resolved against snapshot s:
+// the cost-based plan p when the planner chose, else the trivial plan
+// naming e, with why as its reason.
+func publicPlan(s *snapshot, q exec.Query, e *queryEngine, p *exec.Plan, why string) *QueryPlan {
+	if p == nil {
+		p = &exec.Plan{Keywords: q.Keywords, Semantics: q.Semantics, K: exec.KBucket(q.K),
+			Lists: s.planStats(q.Keywords).Lists, Engine: e.Name, Reason: why, Generation: s.gen}
+	}
+	out := &QueryPlan{Keywords: p.Keywords, Semantics: Semantics(p.Semantics), K: p.K, Engine: p.Engine,
+		Reason: p.Reason, Auto: p.Auto, Generation: p.Generation}
 	for _, l := range p.Lists {
 		out.Lists = append(out.Lists, ListInfo{Keyword: l.Keyword, Rows: l.Rows})
 	}
 	for _, c := range p.Costs {
 		out.Costs = append(out.Costs, PlanCost{Engine: c.Engine, Cost: c.Cost})
-	}
-	return out, nil
-}
-
-// listInfos reads the per-keyword row counts off the snapshot's lexicon.
-func listInfos(s *snapshot, keywords []string) []ListInfo {
-	out := make([]ListInfo, len(keywords))
-	for i, w := range keywords {
-		out[i] = ListInfo{Keyword: w, Rows: s.store.DocFreq(w)}
 	}
 	return out
 }

@@ -145,6 +145,39 @@ func TestQueryLogOutcomes(t *testing.T) {
 	}
 }
 
+// TestShardedQueryLogMeteredBudget: a coordinator's record carries its
+// shards' resource profile summed, as an Index's record carries its own
+// (the metered-budget check of TestQueryLogOutcomes, on a Sharded).
+func TestShardedQueryLogMeteredBudget(t *testing.T) {
+	sh, err := NewSharded(gen.DBLP(0.01, 5).Doc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	rec, err := qlog.New(qlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	sh.SetQueryLog(rec)
+	const query = "sensor network"
+	if _, err := sh.Search(query, SearchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.TopKStream(query, 5, SearchOptions{}, func(Result) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	recs := drainRecords(t, rec, 2)
+	for i, r := range recs {
+		if r.Shards != 2 || r.DecodedBytes <= 0 {
+			t.Errorf("record %d (%s, %s): shards=%d decoded_bytes=%d, want 2 shards and > 0 bytes (metered budget)", i, r.Op, r.Engine, r.Shards, r.DecodedBytes)
+		}
+	}
+	if recs[1].Candidates <= 0 {
+		t.Errorf("stream record: candidates = %d, want the star join's pulls", recs[1].Candidates)
+	}
+}
+
 // TestQueryLogFingerprintDeterministic: the same query on the same
 // snapshot fingerprints identically across runs and entry points that
 // share an engine, with no wall-clock leakage.

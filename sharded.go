@@ -6,7 +6,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/jdewey"
@@ -330,12 +329,4 @@ func (sh *Sharded) Health() Health {
 		}
 	}
 	return h
-}
-
-// SetSlowQueryThreshold arms the slow-query log, coordinator and shards.
-func (sh *Sharded) SetSlowQueryThreshold(d time.Duration) {
-	sh.queryObs.SetSlowQueryThreshold(d)
-	for _, ix := range sh.shards {
-		ix.SetSlowQueryThreshold(d)
-	}
 }

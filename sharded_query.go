@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/dewey"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -143,11 +144,13 @@ func (sh *Sharded) scatter(ctx context.Context, tr *obs.Trace, fn func(i int, ct
 	return composeErr(errs)
 }
 
-// shardPart is one shard's contribution to a gather.
+// shardPart is one shard's contribution to a gather: its remapped
+// results and its own outcome — the engine it ran, its executed plan when
+// traced, its resource profile, and the abort it settled into a partial
+// answer (out.trip).
 type shardPart struct {
 	merged []mergedResult
-	meta   exec.RunMeta
-	trip   error // the abort the shard settled into a partial answer
+	out    outcome
 	// cancelled: the threshold exchange stopped the shard at a result
 	// scoring last, so its answer is complete as far as the top-K goes.
 	cancelled bool
@@ -170,10 +173,10 @@ func composePartial(parts []shardPart) (meta exec.RunMeta, trip error) {
 		switch {
 		case p.cancelled:
 			bound = math.Max(bound, p.last)
-		case p.meta.Partial:
+		case p.out.meta.Partial:
 			meta.Partial = true
-			bound = math.Max(bound, p.meta.UnseenBound)
-			trips = append(trips, p.trip)
+			bound = math.Max(bound, p.out.meta.UnseenBound)
+			trips = append(trips, p.out.trip)
 		}
 	}
 	if meta.Partial {
@@ -194,6 +197,28 @@ func recertify(rs []Result, meta exec.RunMeta) {
 	}
 }
 
+// ran folds what the shards ran into the coordinator's outcome: the
+// engine most of them ran (ties broken in registration order, so never
+// an engine no shard ran), their executed plans when traced, and the sum
+// of their resource profiles.
+func (out *outcome) ran(parts []shardPart, traced bool) {
+	count := map[obs.Engine]int{}
+	for i := range parts {
+		p := &parts[i].out
+		count[p.eng]++
+		out.bdg.Add(p.bdg)
+		if traced {
+			out.shardPlans = append(out.shardPlans, p.plan)
+		}
+	}
+	most := 0
+	for _, e := range engines.Engines() {
+		if count[e.Obs] > most {
+			out.eng, most = e.Obs, count[e.Obs]
+		}
+	}
+}
+
 // gather scatters the request and merges the shards' answers. Top-K
 // requests the star join serves (AlgoJoin's top-K mode, and TopKStream
 // always) reach the shards as streams whose results feed the threshold
@@ -201,8 +226,8 @@ func recertify(rs []Result, meta exec.RunMeta) {
 // which plans per shard against each shard's own statistics — runs as a
 // batch whose results are collected when the shard returns. Either way
 // each shard result goes through the one collect, and the parts through
-// the one merge.
-func (sh *Sharded) gather(ctx context.Context, req request) (rs []Result, meta exec.RunMeta, trip, err error) {
+// the one merge. The parts come back even when the scatter failed.
+func (sh *Sharded) gather(ctx context.Context, req request) ([]Result, []shardPart, error) {
 	sh.mu.RLock()
 	offs, _ := sh.offsetsLocked()
 	sh.mu.RUnlock()
@@ -211,7 +236,7 @@ func (sh *Sharded) gather(ctx context.Context, req request) (rs []Result, meta e
 	if req.op == opStream || (req.op == opTopK && req.opt.Algorithm == AlgoJoin) {
 		thr = shard.NewThreshold(req.k)
 	}
-	err = sh.scatter(ctx, req.tr, func(i int, sctx context.Context, str *obs.Trace) error {
+	err := sh.scatter(ctx, req.tr, func(i int, sctx context.Context, str *obs.Trace) error {
 		p := &parts[i]
 		// collect runs on the shard's goroutine, so noting the cancel cause
 		// on str is single-goroutine.
@@ -239,51 +264,54 @@ func (sh *Sharded) gather(ctx context.Context, req request) (rs []Result, meta e
 		if thr != nil {
 			sreq.op, sreq.emit = opStream, collect
 		}
-		out := sh.shards[i].run(sctx, sreq)
-		for _, r := range out.rs {
+		p.out = sh.shards[i].run(sctx, sreq)
+		for _, r := range p.out.rs {
 			collect(r)
 		}
-		p.meta, p.trip = out.meta, out.trip
-		return out.err
+		return p.out.err
 	})
 	if err != nil {
-		return nil, meta, nil, err
+		return nil, parts, err
 	}
 	msp := req.tr.Stage(obs.StageMerge)
 	defer req.tr.End(msp)
-	meta, trip = composePartial(parts)
 	var all []mergedResult
 	for i := range parts {
 		all = append(all, parts[i].merged...)
 	}
-	return mergeRanked(all, req.k), meta, trip, nil
+	return mergeRanked(all, req.k), parts, nil
 }
 
 // run is the sharded executor. A streamed top-K is buffered: a global
 // rank order only exists after the gather, so the merged results are
 // delivered to the callback in rank order once it completes (the callback
 // returning false stops delivery cleanly). Per-shard evaluation still
-// streams — and is still cancelled early — inside the scatter.
+// streams — and is still cancelled early — inside the scatter. What ran
+// is read off the shards' outcomes (outcome.ran).
 func (sh *Sharded) run(ctx context.Context, req request) (out outcome) {
 	start := time.Now()
 	sh.pinned.Add(1)
 	out.eng = req.engineSlot()
+	if sh.qlog.Load().Enabled() {
+		out.bdg, req.meter = budget.Meter(), true
+	}
 	defer func() {
 		sh.pinned.Add(-1)
-		sh.finish(&req, &out, time.Since(start), nil, len(sh.shards))
+		sh.finish(&req, &out, time.Since(start), len(sh.shards))
 	}()
 	defer guard(&out.err)
 	if out.err = req.validate(); out.err != nil {
 		return out
 	}
-	rs, meta, trip, err := sh.gather(ctx, req)
+	rs, parts, err := sh.gather(ctx, req)
+	out.ran(parts, req.tr != nil)
 	if err != nil {
 		out.err = err
 		return out
 	}
-	out.meta, out.trip = meta, trip
 	ssp := req.tr.Stage(obs.StageSettle)
-	recertify(rs, meta)
+	out.meta, out.trip = composePartial(parts)
+	recertify(rs, out.meta)
 	req.tr.End(ssp)
 	if req.op != opStream {
 		out.rs, out.n = rs, len(rs)
@@ -354,11 +382,4 @@ func (sh *Sharded) TopKStreamTraced(ctx context.Context, query string, k int, op
 // with the same contract as Index.Prepare.
 func (sh *Sharded) Prepare(query string, opt SearchOptions) (*ShardedQuery, error) {
 	return prepare(sh.run, sh.shards[0], newRequest("", query, 0, opt, nil))
-}
-
-// Plan returns a representative query plan: shard 0's (each shard plans
-// independently against its own statistics at execution time, so a
-// sharded query has no single global plan).
-func (sh *Sharded) Plan(query string, k int, opt SearchOptions) (*QueryPlan, error) {
-	return sh.shards[0].Plan(query, k, opt)
 }

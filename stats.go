@@ -7,23 +7,31 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/budget"
 	"repro/internal/obs"
 	"repro/internal/qlog"
 )
 
 // QueryStats is the per-query execution profile returned by the *Traced
-// entry points: which engine ran, how long it took, and the full event
-// trace (join-order decisions, plan switches, threshold updates, list
-// decodes, early termination, cancellation strides).
+// entry points: which engine ran and under which plan, how long it took,
+// and the full event trace (join-order decisions, plan switches,
+// threshold updates, list decodes, early termination, cancellation
+// strides).
 type QueryStats struct {
-	Query    string        `json:"query"`
-	Keywords []string      `json:"keywords"`
-	Engine   string        `json:"engine"`
-	K        int           `json:"k,omitempty"` // 0 for a complete evaluation
-	Results  int           `json:"results"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
-	Trace    *obs.Trace    `json:"trace"`
+	Query    string   `json:"query"`
+	Keywords []string `json:"keywords"`
+	// Engine is the engine that ran; on a Sharded, the one most shards ran
+	// (ties broken in registration order).
+	Engine string `json:"engine"`
+	// Plan is the plan an Index ran, at the generation it ran against: the
+	// cost-based plan for AlgoAuto, the trivial one otherwise. ShardPlans
+	// is a Sharded's instead, one per shard in shard order (nil only for a
+	// shard of a failed query that stopped before resolving an engine).
+	Plan       *QueryPlan    `json:"plan,omitempty"`
+	ShardPlans []*QueryPlan  `json:"shard_plans,omitempty"`
+	K          int           `json:"k,omitempty"` // 0 for a complete evaluation
+	Results    int           `json:"results"`
+	Elapsed    time.Duration `json:"elapsed_ns"`
+	Trace      *obs.Trace    `json:"trace"`
 	// TraceID is the trace's ID in the index's trace store — nonzero only
 	// when a store is installed (SetTraceStore) and tail sampling retained
 	// this query's trace; /traces/{id} then serves it back.
@@ -64,26 +72,28 @@ type queryObs struct {
 }
 
 // finish is the shared tail of every query path, sharded or not: engine
-// metrics and slow-query log; then — for a traced query — the one
-// reduction of its spans to a stage breakdown, which feeds the attribution
-// counters, QueryStats.Stages, the record's stage_ns and the retained
-// trace's Stages alike (Trace.Breakdown memoizes it); then the
-// tail-sampling offer to the trace store, linking the retained trace ID
-// into the engine's latency histogram as an exemplar; then — when the
-// flight recorder is on — the query's record, offered without blocking.
+// metrics; then — for a traced query — the one reduction of its spans to
+// a stage breakdown, which feeds the attribution counters,
+// QueryStats.Stages, the record's stage_ns and the retained trace's
+// Stages alike (Trace.Breakdown memoizes it); then the offer to the trace
+// store (whose keep-ring is the slow-query log), linking the retained
+// trace ID into the engine's latency histogram as an exemplar; then —
+// when the flight recorder is on — the query's record, offered without
+// blocking.
 // A settled certified-partial answer is recorded under its abort cause
 // (out.trip), so the cancellation counters and the trace store's
-// always-retain rule still see it. bdg doubles as the resource profile;
-// shards is the fan-out of a coordinator's query (0 when unsharded), whose
-// per-shard profiles stay in the shards' own registries.
-func (o *queryObs) finish(req *request, out *outcome, elapsed time.Duration, bdg *budget.B, shards int) {
+// always-retain rule still see it. out.bdg doubles as the resource
+// profile (a coordinator's sums its shards'); shards is the fan-out of a
+// coordinator's query (0 when unsharded), whose per-shard engine metrics
+// stay in the shards' own registries.
+func (o *queryObs) finish(req *request, out *outcome, elapsed time.Duration, shards int) {
 	ferr := out.err
 	if ferr == nil && out.trip != nil {
 		ferr = out.trip
 		o.metrics.Serving.PartialQueries.Add(1)
 	}
 	tr := req.tr
-	o.metrics.RecordQuery(out.eng, req.query, req.k, elapsed, out.n, ferr, tr)
+	o.metrics.RecordQuery(out.eng, elapsed, out.n, ferr)
 	if bd := tr.Breakdown(elapsed); bd != nil {
 		out.stages = bd
 		o.metrics.Stage.RecordBreakdown(out.eng, bd)
@@ -112,9 +122,9 @@ func (o *queryObs) finish(req *request, out *outcome, elapsed time.Duration, bdg
 		DurationNs:   elapsed.Nanoseconds(),
 		Results:      out.n,
 		Shards:       shards,
-		DecodedBytes: bdg.Decoded(),
-		CacheHits:    bdg.CacheHits(),
-		Candidates:   bdg.Candidates(),
+		DecodedBytes: out.bdg.Decoded(),
+		CacheHits:    out.bdg.CacheHits(),
+		Candidates:   out.bdg.Candidates(),
 		TraceID:      traceID,
 	}
 	if out.err == nil {
@@ -192,6 +202,8 @@ func (o *queryObs) traced(ctx context.Context, run executor, req request, suffix
 		Query:       req.query,
 		Keywords:    req.keywords,
 		Engine:      out.eng.String(),
+		Plan:        out.plan,
+		ShardPlans:  out.shardPlans,
 		K:           req.k,
 		Results:     out.n,
 		Elapsed:     tr.Duration(),
@@ -238,23 +250,15 @@ func (o *queryObs) Metrics() *obs.Metrics { return o.metrics }
 // histogram, and store counter, taken without blocking concurrent queries.
 func (o *queryObs) Stats() obs.Snapshot { return o.metrics.Snapshot() }
 
-// SetSlowQueryThreshold enables the slow-query log: queries at or above d
-// are captured (engine, query text, latency, result count, and — when the
-// query was traced — the trace signature). Zero disables capture.
-func (o *queryObs) SetSlowQueryThreshold(d time.Duration) {
-	o.metrics.SetSlowQueryThreshold(d)
-}
-
-// SlowQueries returns the captured slow-query entries, oldest first.
-func (o *queryObs) SlowQueries() []obs.SlowQuery { return o.metrics.SlowQueries() }
-
 // SetTraceStore installs (or, with nil, removes) the tail-sampled trace
-// store: every traced query that completes is offered to it, slow/error/
-// cancelled traces are always retained until ring capacity, ordinary ones
-// are reservoir-sampled, and retained trace IDs are linked into the
-// latency histograms as exemplars. Untraced queries (plain Search/TopK)
-// cost one extra pointer check and are never captured — capture requires
-// the *Traced entry points that allocate a trace to begin with.
+// store: every query that completes is offered to it, slow/error/
+// cancelled ones are always retained until ring capacity — an untraced
+// one (plain Search/TopK) without spans — ordinary traced ones are
+// reservoir-sampled, and retained trace IDs are linked into the latency
+// histograms as exemplars. The store's keep-ring is the slow-query log
+// (TraceStore.Kept, served at /slow); its threshold is the one slow
+// threshold. Ordinary untraced queries cost a pointer check and a
+// comparison and are never captured.
 func (o *queryObs) SetTraceStore(ts *obs.TraceStore) { o.traces.Store(ts) }
 
 // TraceStore returns the installed trace store (nil when capture is off).

@@ -200,8 +200,8 @@ func TestTracedStreamAfterReload(t *testing.T) {
 func TestSnapshotDuringConcurrentQueries(t *testing.T) {
 	idx, q := traceEnv(t)
 	algos := []Algorithm{AlgoJoin, AlgoStack, AlgoIndexLookup, AlgoRDIL, AlgoHybrid}
-	idx.SetSlowQueryThreshold(1) // capture everything: exercises the slow log too
-	idx.view().ensureInv()       // warm the lazy baseline build before the storm
+	idx.SetTraceStore(obs.NewTraceStore(0, 0, 1, 1)) // capture everything: exercises the slow log too
+	idx.view().ensureInv()                           // warm the lazy baseline build before the storm
 
 	var wg sync.WaitGroup
 	const perWorker = 20
@@ -234,7 +234,7 @@ func TestSnapshotDuringConcurrentQueries(t *testing.T) {
 			if want := int64(len(algos) * perWorker); total != want {
 				t.Fatalf("recorded %d queries, want %d", total, want)
 			}
-			if len(snap.SlowQueries) == 0 {
+			if len(idx.TraceStore().Kept()) == 0 {
 				t.Error("slow log empty despite 1ns threshold")
 			}
 			var sb strings.Builder
