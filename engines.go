@@ -73,83 +73,133 @@ func abortedMeta() exec.RunMeta {
 
 // runJoin is the complete join-based evaluation (Section III). With
 // K > 0 — reachable only through the planner choosing sort-after-complete
-// for a small expected result set — it truncates the ranked set. On a
-// deadline/budget abort the results accumulated so far come back ranked,
-// but with an infinite unseen bound: the bottom-up merge visits results in
-// document order, not score order, so nothing can be certified.
+// for a small expected result set — it materialises only the first K of
+// the ranked set. On a deadline/budget abort the results accumulated so
+// far come back ranked, but with an infinite unseen bound: the bottom-up
+// merge visits results in document order, not score order, so nothing
+// can be certified.
 func runJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
+	rs, err := completeJoin(ctx, s, q, tr)
+	meta := exec.RunMeta{}
+	if err != nil {
+		meta = abortedMeta()
+	}
+	return s.materializeJoin(rs, q.K), meta, err
+}
+
+// completeJoin opens the column lists and runs the complete join, its
+// results ranked.
+func completeJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]core.Result, error) {
 	osp := tr.Stage(obs.StageOpen)
-	lists, lerr := s.store.ListsBudget(q.Keywords, tr, q.Budget)
+	lists, err := s.store.ListsBudget(q.Keywords, tr, q.Budget)
 	tr.End(osp)
-	if lerr != nil {
-		return nil, abortedMeta(), lerr
+	if err != nil {
+		return nil, err
 	}
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
 	rs, _, err := core.EvaluateCtx(ctx, lists, core.Options{Semantics: core.Semantics(q.Semantics), Decay: q.Decay, Trace: tr})
-	if err != nil {
-		core.SortByScore(rs)
-		return truncate(s.materializeJoin(rs), q.K), abortedMeta(), err
-	}
 	core.SortByScore(rs)
-	return truncate(s.materializeJoin(rs), q.K), exec.RunMeta{}, nil
+	return rs, err
 }
 
-// runTopKJoin is the top-K star join (Section IV): score-ordered cursors
-// with threshold-proven early termination. On abort the engine reports the
-// Section IV-B/IV-C threshold as the unseen bound, so the results already
-// proven (score ≥ bound) can be certified exact by the facade.
-func runTopKJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
+// starJoin runs the top-K star join (Section IV) with a bounded-regret
+// cap: it stops once it has pulled as many rows as the complete join is
+// estimated to cost over the same lists (exec.CostJoin, from the lexicon
+// DFs), so a TopK never costs much more than complete-then-rank. On a
+// hand-off (Stats.HandedOff) it returns the star join's proven prefix;
+// the caller finishes with handOff. Every proven result also goes to
+// emit (nil: none).
+func starJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace, emit func(core.Result) bool) ([]core.Result, topk.Stats, error) {
 	osp := tr.Stage(obs.StageOpen)
-	lists, lerr := s.store.TopKListsBudget(q.Keywords, tr, q.Budget)
+	lists, err := s.store.TopKListsBudget(q.Keywords, tr, q.Budget)
 	tr.End(osp)
-	if lerr != nil {
-		return nil, abortedMeta(), lerr
+	if err != nil {
+		return nil, topk.Stats{Partial: true, UnseenBound: math.Inf(1)}, err
 	}
 	jsp := tr.Stage(obs.StageJoin)
 	defer tr.End(jsp)
-	rs, st, err := topk.EvaluateCtx(ctx, lists, topk.Options{
+	return topk.EvaluateFuncCtx(ctx, lists, topk.Options{
 		Semantics: core.Semantics(q.Semantics), Decay: q.Decay, K: q.K, Trace: tr,
-		Budget: q.Budget, Partial: q.AllowPartial,
-	})
-	return s.materializeJoin(rs), exec.RunMeta{Partial: st.Partial, UnseenBound: st.UnseenBound}, err
+		Budget: q.Budget, Partial: q.AllowPartial && emit == nil,
+		MaxPulls: int(math.Ceil(exec.CostJoin(q, s.planStats(q.Keywords)))),
+	}, emit)
+}
+
+// handOff finishes a star join stopped at its pull cap: the complete
+// join's ranking without the (level, value) pairs of the proven prefix,
+// which it already holds. An abort here (deadline, cancel, budget)
+// leaves only the prefix, certified by the star join's hand-off bound —
+// what a budget trip at that pull certifies.
+func handOff(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace, prefix []core.Result, bound float64) ([]core.Result, exec.RunMeta, error) {
+	rs, err := completeJoin(ctx, s, q, tr)
+	if err != nil {
+		return nil, exec.RunMeta{Partial: true, UnseenBound: bound}, err
+	}
+	seen := make(map[[2]uint32]bool, len(prefix))
+	for _, r := range prefix {
+		seen[[2]uint32{uint32(r.Level), r.Value}] = true
+	}
+	rest := rs[:0]
+	for _, r := range rs {
+		if !seen[[2]uint32{uint32(r.Level), r.Value}] {
+			rest = append(rest, r)
+		}
+	}
+	return rest, exec.RunMeta{}, nil
+}
+
+// runTopKJoin is the bounded-regret top-K join: the star join, handing
+// off to the complete join at its pull cap. On abort the engine reports
+// the Section IV-B/IV-C threshold as the unseen bound, so the results
+// already proven (score ≥ bound) can be certified exact by the facade.
+func runTopKJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
+	rs, st, err := starJoin(ctx, s, q, tr, nil)
+	meta := exec.RunMeta{Partial: st.Partial, UnseenBound: st.UnseenBound}
+	if st.HandedOff {
+		var rest []core.Result
+		rest, meta, err = handOff(ctx, s, q, tr, rs, st.UnseenBound)
+		rs = append(rs, rest...)
+	}
+	return s.materializeJoin(rs, q.K), meta, err
 }
 
 // streamTopKJoin delivers each star-join result the moment the threshold
-// proves it safe. Results whose node vanished from the snapshot's tree
-// are skipped without counting against delivery. A deadline/budget abort
-// simply ends the stream early: every delivered result was already
-// threshold-proven, so nothing unproven ever reaches the consumer.
+// proves it safe, then, after a hand-off, the rest of the complete join's
+// ranking until K live results — in descending score either way, so a
+// shard's threshold exchange sees scores in order. Results whose node
+// vanished from the snapshot's tree are skipped without counting against
+// delivery. A deadline/budget abort simply ends the stream early: every
+// delivered result was already proven, so nothing unproven ever reaches
+// the consumer.
 func streamTopKJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace, emit func(Result) bool) (int, exec.RunMeta, error) {
-	osp := tr.Stage(obs.StageOpen)
-	lists, lerr := s.store.TopKListsBudget(q.Keywords, tr, q.Budget)
-	tr.End(osp)
-	if lerr != nil {
-		return 0, abortedMeta(), lerr
-	}
-	jsp := tr.Stage(obs.StageJoin)
-	defer tr.End(jsp)
 	delivered := 0
-	_, st, err := topk.EvaluateFuncCtx(ctx, lists, topk.Options{
-		Semantics: core.Semantics(q.Semantics), Decay: q.Decay, K: q.K, Trace: tr,
-		Budget: q.Budget,
-	},
-		func(r core.Result) bool {
-			n := s.nodeByJDewey(r.Level, r.Value)
-			if n == nil {
-				return true
+	deliver := func(r core.Result) bool {
+		res, ok := s.joinResult(r)
+		if !ok {
+			return true
+		}
+		delivered++
+		return emit(res)
+	}
+	rs, st, err := starJoin(ctx, s, q, tr, deliver)
+	meta := exec.RunMeta{Partial: st.Partial, UnseenBound: st.UnseenBound}
+	if st.HandedOff {
+		rs, meta, err = handOff(ctx, s, q, tr, rs, st.UnseenBound)
+		for _, r := range rs {
+			if delivered == q.K || !deliver(r) {
+				break
 			}
-			delivered++
-			return emit(materializeNode(n, r.Score))
-		})
-	return delivered, exec.RunMeta{Partial: st.Partial, UnseenBound: st.UnseenBound}, err
+		}
+	}
+	return delivered, meta, err
 }
 
 // runStack is the stack-based baseline: full document-order merge, then
-// rank (and truncate, for top-K). Like the complete join, its abort-time
-// results carry no certification bound. The in-memory baseline lists are
-// not budget-charged: the decoded-bytes budget bounds the column store's
-// read path, which this engine does not use.
+// rank (and keep the first K, for top-K). Like the complete join, its
+// abort-time results carry no certification bound. The in-memory
+// baseline lists are not budget-charged: the decoded-bytes budget bounds
+// the column store's read path, which this engine does not use.
 func runStack(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
 	osp := tr.Stage(obs.StageOpen)
 	lists := s.invListsObs(q.Keywords, tr)
@@ -158,18 +208,15 @@ func runStack(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]
 	defer tr.End(jsp)
 	rs, _, err := stack.EvaluateObsCtx(ctx, lists, stack.Semantics(q.Semantics), q.Decay, tr)
 	stack.SortByScore(rs)
-	out := make([]Result, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, s.materializeDewey(r.ID, r.Score))
-	}
+	meta := exec.RunMeta{}
 	if err != nil {
-		return truncate(out, q.K), abortedMeta(), err
+		meta = abortedMeta()
 	}
-	return truncate(out, q.K), exec.RunMeta{}, nil
+	return materializeDewey(s, rs, q.K), meta, err
 }
 
 // runIxLookup is the index-lookup baseline: shortest-list-driven probes,
-// then rank by the canonical ordering (and truncate, for top-K).
+// then rank by the canonical ordering (and keep the first K, for top-K).
 func runIxLookup(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
 	osp := tr.Stage(obs.StageOpen)
 	lists := s.invListsObs(q.Keywords, tr)
@@ -186,11 +233,7 @@ func runIxLookup(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) 
 		}
 		return dewey.Compare(rs[i].ID, rs[j].ID) < 0
 	})
-	out := make([]Result, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, s.materializeDewey(r.ID, r.Score))
-	}
-	return truncate(out, q.K), exec.RunMeta{}, nil
+	return materializeDewey(s, rs, q.K), exec.RunMeta{}, nil
 }
 
 // runRDIL is the RDIL top-K baseline (classic TA over score-ordered
@@ -208,11 +251,7 @@ func runRDIL(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]R
 	if err != nil {
 		return nil, abortedMeta(), err
 	}
-	out := make([]Result, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, s.materializeDewey(r.ID, r.Score))
-	}
-	return out, exec.RunMeta{}, nil
+	return materializeDewey(s, rs, 0), exec.RunMeta{}, nil
 }
 
 // runHybrid is the Section V-D strategy: a cardinality estimate decides
@@ -238,7 +277,7 @@ func runHybrid(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([
 	if err != nil {
 		return nil, abortedMeta(), err
 	}
-	return s.materializeJoin(rs), exec.RunMeta{}, nil
+	return s.materializeJoin(rs, 0), exec.RunMeta{}, nil
 }
 
 // truncate caps a ranked result slice at k (0 = no cap).

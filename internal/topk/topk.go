@@ -61,6 +61,13 @@ type Options struct {
 	// is a true member of the top-K at its returned rank. The emit
 	// callback never sees unproven results regardless of this option.
 	Partial bool
+	// MaxPulls, when positive, caps the rows the star join pulls. At the
+	// cap the evaluation stops without error and hands off: it returns
+	// its proven prefix with Stats.HandedOff set and Stats.UnseenBound
+	// the bound a budget trip at that pull would certify, so the caller
+	// can finish with a complete join. Zero runs the paper's uncapped
+	// algorithm.
+	MaxPulls int
 }
 
 // Stats reports execution counters.
@@ -79,6 +86,10 @@ type Stats struct {
 	// returned results.
 	Partial     bool
 	UnseenBound float64
+	// HandedOff is set when Options.MaxPulls stopped the star join; the
+	// returned results are then only its proven prefix, and UnseenBound
+	// bounds every result not returned.
+	HandedOff bool
 }
 
 // Evaluate returns the top-K results (score-descending) of the keyword
@@ -216,16 +227,18 @@ func evaluate(ctx context.Context, lists []colstore.TKSource, opt Options, emit 
 		st.Levels++
 		e.runColumn(lev)
 	}
-	if e.abortErr != nil {
-		// Aborted (cancellation, deadline, or budget): whatever was emitted
-		// before the abort is returned — those results are proven — and the
-		// unseen-result bound at the abort point certifies them. With
-		// opt.Partial the buffered, not-yet-proven candidates follow the
-		// proven prefix in score order; they are never handed to the emit
-		// callback.
-		st.Partial = true
+	if e.abortErr != nil || st.HandedOff {
+		// Aborted (cancellation, deadline, or budget) or handed off at the
+		// pull cap: whatever was emitted before the stop is returned —
+		// those results are proven — and the unseen-result bound at the
+		// stop certifies them. With opt.Partial an abort appends the
+		// buffered, not-yet-proven candidates after the proven prefix in
+		// score order; they are never handed to the emit callback.
+		// Otherwise the buffer is not returned, so the bound must cover
+		// it too (every emitted result scores at or above the buffer).
+		st.Partial = e.abortErr != nil
 		st.UnseenBound = e.abortBound()
-		if opt.Partial && e.buffer.Len() > 0 {
+		if opt.Partial && st.Partial && e.buffer.Len() > 0 {
 			rest := make(resultHeap, len(e.buffer))
 			copy(rest, e.buffer)
 			sort.Sort(rest)
@@ -233,8 +246,10 @@ func evaluate(ctx context.Context, lists []colstore.TKSource, opt Options, emit 
 			if len(e.emitted) > opt.K {
 				e.emitted = e.emitted[:opt.K]
 			}
+		} else if e.buffer.Len() > 0 && e.buffer[0].Score > st.UnseenBound {
+			st.UnseenBound = e.buffer[0].Score
 		}
-		if e.tr != nil {
+		if e.tr != nil && st.Partial {
 			e.tr.Note(fmt.Sprintf("partial-abort: %v", e.abortErr),
 				int64(len(e.emitted)), int64(e.buffer.Len()), int64(st.RowsPulled))
 		}
@@ -298,7 +313,9 @@ type engine struct {
 	slcaFullMax   float64
 }
 
-func (e *engine) done() bool { return e.stopped || e.abortErr != nil || len(e.emitted) >= e.opt.K }
+func (e *engine) done() bool {
+	return e.stopped || e.abortErr != nil || e.st.HandedOff || len(e.emitted) >= e.opt.K
+}
 
 // tick observes the context every ctxCheckStride pulls; true means abort.
 func (e *engine) tick() bool {
@@ -470,11 +487,12 @@ func (e *engine) runColumn(lev int) {
 		}
 		return t
 	}
-	// While this sweep is live, a partial abort certifies against the
-	// column's current threshold rather than the looser cross-column
-	// bound. Abort returns leave liveThreshold installed on purpose —
-	// evaluate reads the bound after runColumn returns; only a completed
-	// sweep (which drained the column) tears it down at the bottom.
+	// While this sweep is live, a partial abort or a hand-off certifies
+	// against the column's current threshold rather than the looser
+	// cross-column bound. Abort and hand-off returns leave liveThreshold
+	// installed on purpose — evaluate reads the bound after runColumn
+	// returns; only a completed sweep (which drained the column) tears it
+	// down at the bottom.
 	e.slcaFullMax = math.Inf(-1)
 	e.liveThreshold = threshold
 
@@ -512,6 +530,15 @@ func (e *engine) runColumn(lev int) {
 		i := pullFrom()
 		if i < 0 {
 			break // column drained
+		}
+		// The pull cap stops at the same point a budget trip would, so the
+		// hand-off bound certifies exactly what the trip's would.
+		if e.opt.MaxPulls > 0 && e.st.RowsPulled >= e.opt.MaxPulls {
+			e.st.HandedOff = true
+			if e.tr != nil {
+				e.tr.PlanSwitch("complete-join", lev, e.st.RowsPulled, e.opt.MaxPulls)
+			}
+			return
 		}
 		// Charge before pulling: a trip must abort with the candidate still
 		// in its list, where the threshold's peek covers it. Charging after

@@ -1,10 +1,12 @@
 package topk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/jdewey"
@@ -262,5 +264,92 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if st.ThresholdChecks == 0 {
 		t.Error("no threshold checks recorded")
+	}
+}
+
+// TestMaxPullsHandsOff: a pull cap stops the star join at the cap with a
+// proven prefix — the first ranks of the complete ranking — and an unseen
+// bound no unreturned result scores above; an uncapped finish is the
+// plain top-K.
+func TestMaxPullsHandsOff(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	handOffs, prefixed := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		params := testutil.SmallParams()
+		if trial%2 == 0 {
+			params = testutil.MediumParams()
+		}
+		e := newEnv(testutil.RandomDoc(rng, params))
+		q := testutil.RandomQuery(rng, params.Vocab, 2+trial%2)
+		for _, sem := range []core.Semantics{core.ELCA, core.SLCA} {
+			full := Full(e.lists(q), sem, 0)
+			for _, cap := range []int{1, 7, 64} {
+				for _, k := range []int{1, 5, 20} {
+					rs, st, err := EvaluateCtx(context.Background(), e.lists(q), Options{Semantics: sem, K: k, MaxPulls: cap})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.RowsPulled > cap {
+						t.Fatalf("%v sem=%v cap=%d: pulled %d rows", q, sem, cap, st.RowsPulled)
+					}
+					want := full
+					if !st.HandedOff && k < len(want) {
+						want = want[:k]
+					}
+					if st.HandedOff {
+						handOffs++
+						if len(rs) >= k {
+							t.Fatalf("%v sem=%v cap=%d k=%d: handed off with %d results", q, sem, cap, k, len(rs))
+						}
+						if len(rs) > 0 {
+							prefixed++
+						}
+						for _, r := range full[len(rs):] {
+							if r.Score > st.UnseenBound {
+								t.Fatalf("%v sem=%v cap=%d: unreturned %+v beats the bound %v", q, sem, cap, r, st.UnseenBound)
+							}
+						}
+					} else if len(rs) != len(want) {
+						t.Fatalf("%v sem=%v cap=%d k=%d: %d results, want %d", q, sem, cap, k, len(rs), len(want))
+					}
+					for i, r := range rs {
+						if r != want[i] {
+							t.Fatalf("%v sem=%v cap=%d k=%d rank %d: %+v, complete ranking %+v", q, sem, cap, k, i, r, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	if handOffs == 0 || prefixed == 0 {
+		t.Fatalf("%d hand-offs, %d with a proven prefix: the caps tested nothing", handOffs, prefixed)
+	}
+}
+
+// TestAbortBoundCoversUnreturned: an abort that returns only the proven
+// prefix (no Options.Partial, as a stream runs) must report a bound that
+// no result left out of the top-K scores above — the buffered,
+// fully-joined candidates included.
+func TestAbortBoundCoversUnreturned(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	const k = 5
+	for trial := 0; trial < 30; trial++ {
+		e := newEnv(testutil.RandomDoc(rng, testutil.MediumParams()))
+		q := testutil.RandomQuery(rng, testutil.Vocab(12), 2)
+		for _, sem := range []core.Semantics{core.ELCA, core.SLCA} {
+			full := Full(e.lists(q), sem, 0)
+			_, st := Evaluate(e.lists(q), Options{Semantics: sem, K: k})
+			for n := int64(1); n <= int64(st.RowsPulled); n++ {
+				rs, ast, err := EvaluateCtx(context.Background(), e.lists(q), Options{Semantics: sem, K: k, Budget: budget.New(0, n)})
+				if err == nil {
+					continue
+				}
+				for i := len(rs); i < k && i < len(full); i++ {
+					if full[i].Score > ast.UnseenBound {
+						t.Fatalf("%v sem=%v budget=%d: unreturned rank %d %+v beats the bound %v", q, sem, n, i, full[i], ast.UnseenBound)
+					}
+				}
+			}
+		}
 	}
 }

@@ -66,6 +66,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/core"
+	"repro/internal/dewey"
 	"repro/internal/faultinject"
 	"repro/internal/invindex"
 	"repro/internal/jdewey"
@@ -731,24 +732,58 @@ func (ix *Index) Health() Health { return ix.view().store.Health() }
 
 const snippetLen = 80
 
-func (s *snapshot) materializeJoin(rs []core.Result) []Result {
-	out := make([]Result, 0, len(rs))
+// firstK materialises ranked results in rank order and stops at k live
+// ones (k = 0: all), so a top-K answer never pays the node lookups and
+// snippet copies of the results it drops. mat reports false for a result
+// whose node vanished from the snapshot, which is skipped.
+func firstK[T any](rs []T, k int, mat func(T) (Result, bool)) []Result {
+	if k <= 0 || k > len(rs) {
+		k = len(rs)
+	}
+	out := make([]Result, 0, k)
 	for _, r := range rs {
-		n := s.nodeByJDewey(r.Level, r.Value)
-		if n == nil {
-			continue
+		if len(out) == k {
+			break
 		}
-		out = append(out, materializeNode(n, r.Score))
+		if res, ok := mat(r); ok {
+			out = append(out, res)
+		}
 	}
 	return out
 }
 
-func (s *snapshot) materializeDewey(id []uint32, score float64) Result {
-	n := s.nodeByDewey(id)
+// materializeJoin materialises the first k live ranked join results
+// (k = 0: all).
+func (s *snapshot) materializeJoin(rs []core.Result, k int) []Result {
+	return firstK(rs, k, s.joinResult)
+}
+
+// joinResult materialises one join result; false when its node vanished.
+func (s *snapshot) joinResult(r core.Result) (Result, bool) {
+	n := s.nodeByJDewey(r.Level, r.Value)
 	if n == nil {
-		return Result{Dewey: "?", Score: score, Exact: true}
+		return Result{}, false
 	}
-	return materializeNode(n, score)
+	return materializeNode(n, r.Score), true
+}
+
+// deweyResult is the result shape of the Dewey-keyed baselines (stack,
+// ixlookup, rdil).
+type deweyResult = struct {
+	ID    dewey.ID
+	Score float64
+}
+
+// materializeDewey materialises the first k ranked baseline results
+// (k = 0: all); a result whose node vanished keeps its rank as "?".
+func materializeDewey[T ~deweyResult](s *snapshot, rs []T, k int) []Result {
+	return firstK(rs, k, func(r T) (Result, bool) {
+		d := deweyResult(r)
+		if n := s.nodeByDewey(d.ID); n != nil {
+			return materializeNode(n, d.Score), true
+		}
+		return Result{Dewey: "?", Score: d.Score, Exact: true}, true
+	})
 }
 
 func materializeNode(n *xmltree.Node, s float64) Result {
