@@ -26,11 +26,15 @@ import (
 // queryEngine is the registry instantiation for this facade.
 type queryEngine = exec.Engine[*snapshot, Result]
 
-// engines holds every evaluator. Registration order matters twice: the
-// planner breaks cost ties in registration order, and ForAlgo returns
-// the first capability match — "topk" precedes "join" so an explicit
-// AlgoJoin top-K query runs the star join while a complete one runs the
-// full bottom-up join, exactly as before.
+// engines holds every evaluator. Only the two served engines, "topk"
+// (the star join with its hand-off) and "join", carry a cost model, so
+// AlgoAuto chooses between them alone; an engine without a cost model is
+// never planned, and the paper's Section V comparison engines (stack,
+// ixlookup, rdil, hybrid) run only when named. Registration order
+// matters twice: the planner breaks cost ties in registration order, and
+// ForAlgo returns the first capability match — "topk" precedes "join" so
+// an explicit AlgoJoin top-K query runs the star join while a complete
+// one runs the full bottom-up join, exactly as before.
 var engines = exec.NewRegistry(
 	&queryEngine{
 		Name: "topk", Algo: int(AlgoJoin),
@@ -45,22 +49,22 @@ var engines = exec.NewRegistry(
 	&queryEngine{
 		Name: "stack", Algo: int(AlgoStack),
 		Caps: exec.CapComplete | exec.CapTopK | exec.CapPartial, Obs: obs.EngineStack,
-		Cost: exec.CostStack, Run: runStack,
+		Run: runStack,
 	},
 	&queryEngine{
 		Name: "ixlookup", Algo: int(AlgoIndexLookup),
 		Caps: exec.CapComplete | exec.CapTopK, Obs: obs.EngineIxLookup,
-		Cost: exec.CostIxLookup, Run: runIxLookup,
+		Run: runIxLookup,
 	},
 	&queryEngine{
 		Name: "rdil", Algo: int(AlgoRDIL),
 		Caps: exec.CapTopK, Obs: obs.EngineRDIL,
-		Cost: exec.CostRDIL, Run: runRDIL,
+		Run: runRDIL,
 	},
 	&queryEngine{
 		Name: "hybrid", Algo: int(AlgoHybrid),
 		Caps: exec.CapTopK, Obs: obs.EngineHybrid,
-		Cost: exec.CostHybrid, Run: runHybrid,
+		Run: runHybrid,
 	},
 )
 

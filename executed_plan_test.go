@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -25,8 +27,14 @@ var registrationOrder = []string{"topk", "join", "stack", "ixlookup", "rdil", "h
 // executed plan, the coordinator reports the engine most shards ran — in
 // QueryStats, the metrics slot, the flight-recorder record and /search —
 // and /search lists every shard's engine instead of a re-planned stand-in.
+//
+// AlgoAuto plans only topk and join, so the pinned query is a band term
+// with one high-frequency term: on the DBLP 0.05 seed 1 corpus its four
+// shards plan [join topk join join]. Each shard runs k+1 (the synthetic
+// root may take a slot), so k = 5 keeps the shards' k-bucket that of the
+// reference plans.
 func TestShardedReportsExecutedPlans(t *testing.T) {
-	const query, k = "network", 10
+	const query, k = "band50x0 high500x0", 5
 	sh, err := xmlsearch.NewSharded(gen.DBLP(0.05, 1).Doc, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +113,7 @@ func TestShardedReportsExecutedPlans(t *testing.T) {
 
 	srv := httptest.NewServer(obshttp.NewHandler(sh, obshttp.Options{}))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/search?q=network&k=10&engine=auto")
+	resp, err := http.Get(srv.URL + "/search?" + url.Values{"q": {query}, "k": {strconv.Itoa(k)}, "engine": {"auto"}}.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

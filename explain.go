@@ -45,8 +45,9 @@ type Explanation struct {
 	Trace *obs.Trace
 
 	// Plan is the query plan: which engine the planner resolved, and —
-	// when the query was explained under AlgoAuto — every candidate
-	// engine's cost estimate.
+	// when the query was explained under AlgoAuto — the cost estimate of
+	// each candidate, the served engines topk and join (a complete query
+	// has join alone).
 	Plan *QueryPlan
 
 	// Complete evaluation (K == 0).
@@ -69,7 +70,7 @@ type Explanation struct {
 // engines expose these counters; baselines are for comparison benchmarks.
 // AlgoAuto is accepted: the counters still come from the join-based run,
 // while the attached Plan reports the engine the cost-based planner
-// would pick and every candidate's estimate.
+// would pick, topk or join, and each candidate's estimate.
 func (ix *Index) Explain(query string, k int, opt SearchOptions) (*Explanation, error) {
 	if opt.Algorithm != AlgoJoin && opt.Algorithm != AlgoAuto {
 		return nil, fmt.Errorf("xmlsearch: Explain supports the join-based engine only")

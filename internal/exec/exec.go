@@ -97,6 +97,8 @@ type Engine[S, R any] struct {
 	Algo int
 	Caps Capability
 	Obs  obs.Engine
+	// Cost is the planner's estimate; nil means the engine is never
+	// planned and runs only when its Algo is requested explicitly.
 	Cost func(q Query, st Stats) float64
 	Run  func(ctx context.Context, snap S, q Query, tr *obs.Trace) ([]R, RunMeta, error)
 	// Stream is set only on CapStream engines. Streamed results are

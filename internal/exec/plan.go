@@ -29,9 +29,10 @@ type Plan struct {
 	Auto bool `json:"auto"`
 }
 
-// Plan costs every engine capable of the query's mode and picks the
-// cheapest (registration order breaks ties). It returns nil only when no
-// registered engine can serve the mode at all.
+// Plan costs every engine capable of the query's mode that has a cost
+// model and picks the cheapest (registration order breaks ties). An
+// engine without a Cost is never planned: it runs only when named. Plan
+// returns nil when no costed engine can serve the mode.
 func (r *Registry[S, R]) Plan(q Query, st Stats, gen int64) *Plan {
 	want := CapComplete
 	if q.K > 0 {
@@ -48,13 +49,10 @@ func (r *Registry[S, R]) Plan(q Query, st Stats, gen int64) *Plan {
 	var chosen *Engine[S, R]
 	best := math.Inf(1)
 	for _, e := range r.engines {
-		if e.Caps&want == 0 {
+		if e.Caps&want == 0 || e.Cost == nil {
 			continue
 		}
-		c := math.Inf(1)
-		if e.Cost != nil {
-			c = e.Cost(q, st)
-		}
+		c := e.Cost(q, st)
 		p.Costs = append(p.Costs, EngineCost{Engine: e.Name, Cost: c})
 		if chosen == nil || c < best {
 			chosen, best = e, c
@@ -132,23 +130,6 @@ func CostJoin(q Query, st Stats) float64 {
 	return math.Min(merge, probe) + perLevel(st)*32
 }
 
-// CostStack estimates the stack-based baseline: one document-order merge
-// of every Dewey list with per-row stack maintenance proportional to the
-// tree depth.
-func CostStack(q Query, st Stats) float64 {
-	_, total := rowBounds(st)
-	return float64(total) * (1 + 0.25*float64(st.Depth))
-}
-
-// CostIxLookup estimates the index-lookup baseline: the shortest list
-// drives binary-search probes into each longer list. It beats the join
-// when the shortest list is tiny (high frequency skew) because it pays
-// no per-level setup.
-func CostIxLookup(q Query, st Stats) float64 {
-	min, total := rowBounds(st)
-	return float64(min)*float64(len(st.Lists))*lg(total)*1.5 + 8
-}
-
 // CostTopKJoin estimates the top-K star join: the score-ordered cursors
 // pull rows until the unseen-result threshold proves K results safe.
 // The expected pulled fraction shrinks as the result set grows relative
@@ -162,27 +143,6 @@ func CostTopKJoin(q Query, st Stats) float64 {
 		coverage = math.Min(1, float64(q.K)/est)
 	}
 	return coverage*float64(total) + float64(q.K)*float64(len(st.Lists))*lg(total) + 16
-}
-
-// CostRDIL estimates the RDIL baseline: classic TA with random-access
-// lookups per pulled row, an order of magnitude per-row overhead over
-// the star join's sorted cursors.
-func CostRDIL(q Query, st Stats) float64 {
-	return CostTopKJoin(q, st)*4 + float64(q.K)*lg(rowTotal(st))*8 + 64
-}
-
-// CostHybrid estimates the Section V-D hybrid: it runs whichever of the
-// star join and the complete join its cardinality estimate favors, so
-// its cost tracks the better of the two plus the estimation overhead —
-// a safe choice, never the predicted-cheapest one.
-func CostHybrid(q Query, st Stats) float64 {
-	complete := CostJoin(q, st) + float64(q.K)
-	return math.Min(CostTopKJoin(q, st), complete)*1.1 + 24
-}
-
-func rowTotal(st Stats) int {
-	_, total := rowBounds(st)
-	return total
 }
 
 // KBucket buckets k for costing so nearby k values plan alike:

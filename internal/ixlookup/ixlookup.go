@@ -74,18 +74,13 @@ func (c *evalCtx) tick() bool {
 // Evaluate runs the index-based algorithm and returns all results in
 // document order.
 func Evaluate(lists []*invindex.List, sem Semantics, decay float64) ([]Result, Stats) {
-	rs, st, _ := EvaluateCtx(context.Background(), lists, sem, decay)
+	rs, st, _ := EvaluateObsCtx(context.Background(), lists, sem, decay, nil)
 	return rs, st
 }
 
-// EvaluateCtx is Evaluate honoring a context: the driver-posting scan and
-// the candidate verification loops observe cancellation periodically and
-// abort with ctx.Err().
-func EvaluateCtx(goCtx context.Context, lists []*invindex.List, sem Semantics, decay float64) ([]Result, Stats, error) {
-	return EvaluateObsCtx(goCtx, lists, sem, decay, nil)
-}
-
-// EvaluateObsCtx is EvaluateCtx with per-query tracing: the driver-list
+// EvaluateObsCtx is Evaluate honoring a context, with per-query tracing:
+// the driver-posting scan and the candidate verification loops observe
+// cancellation periodically and abort with ctx.Err(); the driver-list
 // choice (the family's one join-order decision), cancellation-check
 // strides, and probe counters are recorded on tr (nil disables tracing).
 func EvaluateObsCtx(goCtx context.Context, lists []*invindex.List, sem Semantics, decay float64, tr *obs.Trace) ([]Result, Stats, error) {

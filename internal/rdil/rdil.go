@@ -78,7 +78,7 @@ type verdict struct {
 // TopK returns the top-k results for the keyword query. Keywords missing
 // from the index yield no results.
 func (r *Index) TopK(keywords []string, sem Semantics, decay float64, k int) ([]Result, Stats) {
-	rs, st, _ := r.TopKCtx(context.Background(), keywords, sem, decay, k)
+	rs, st, _ := r.TopKObsCtx(context.Background(), keywords, sem, decay, k, nil)
 	return rs, st
 }
 
@@ -87,14 +87,9 @@ func (r *Index) TopK(keywords []string, sem Semantics, decay float64, k int) ([]
 // keeps cancellation latency low.
 const ctxCheckStride = 64
 
-// TopKCtx is TopK honoring a context: the round-robin pull loop observes
-// cancellation periodically and aborts with ctx.Err(), returning the
-// results emitted so far.
-func (r *Index) TopKCtx(ctx context.Context, keywords []string, sem Semantics, decay float64, k int) ([]Result, Stats, error) {
-	return r.TopKObsCtx(ctx, keywords, sem, decay, k, nil)
-}
-
-// TopKObsCtx is TopKCtx with per-query tracing: the round-robin input
+// TopKObsCtx is TopK honoring a context, with per-query tracing: the
+// round-robin pull loop observes cancellation periodically and aborts with
+// ctx.Err(), returning the results emitted so far; the round-robin input
 // order, TA threshold updates, emissions, early termination, and
 // cancellation strides are recorded on tr (nil disables tracing).
 func (r *Index) TopKObsCtx(ctx context.Context, keywords []string, sem Semantics, decay float64, k int, tr *obs.Trace) ([]Result, Stats, error) {

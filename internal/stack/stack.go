@@ -56,22 +56,17 @@ type entry struct {
 // returns all results in the (document) order they complete. Lists must
 // come from the same index; a nil or empty list yields no results.
 func Evaluate(lists []*invindex.List, sem Semantics, decay float64) ([]Result, Stats) {
-	rs, st, _ := EvaluateCtx(context.Background(), lists, sem, decay)
+	rs, st, _ := EvaluateObsCtx(context.Background(), lists, sem, decay, nil)
 	return rs, st
 }
 
 // ctxCheckStride is how many merged postings pass between context checks.
 const ctxCheckStride = 1024
 
-// EvaluateCtx is Evaluate honoring a context: the k-way merge observes
-// cancellation periodically and aborts with ctx.Err().
-func EvaluateCtx(ctx context.Context, lists []*invindex.List, sem Semantics, decay float64) ([]Result, Stats, error) {
-	return EvaluateObsCtx(ctx, lists, sem, decay, nil)
-}
-
-// EvaluateObsCtx is EvaluateCtx with per-query tracing: the merge-order
-// decision, cancellation-check strides, and stack-churn counters are
-// recorded on tr (nil disables tracing).
+// EvaluateObsCtx is Evaluate honoring a context, with per-query tracing:
+// the k-way merge observes cancellation periodically and aborts with
+// ctx.Err(); the merge-order decision, cancellation-check strides, and
+// stack-churn counters are recorded on tr (nil disables tracing).
 func EvaluateObsCtx(ctx context.Context, lists []*invindex.List, sem Semantics, decay float64, tr *obs.Trace) ([]Result, Stats, error) {
 	var st Stats
 	if ctx == nil {
@@ -221,18 +216,6 @@ func EvaluateObsCtx(ctx context.Context, lists []*invindex.List, sem Semantics, 
 		return dewey.Compare(results[i].ID, results[j].ID) < 0
 	})
 	return results, st, nil
-}
-
-// TopK evaluates the full result set (the only option for this family),
-// sorts by score, and returns the best K — the "compute everything, then
-// rank" behaviour the paper contrasts top-K processing against.
-func TopK(lists []*invindex.List, sem Semantics, decay float64, k int) ([]Result, Stats) {
-	rs, st := Evaluate(lists, sem, decay)
-	SortByScore(rs)
-	if k < len(rs) {
-		rs = rs[:k]
-	}
-	return rs, st
 }
 
 // SortByScore orders results by the canonical exec.Compare ordering

@@ -91,7 +91,7 @@ type PlanCost struct {
 
 // QueryPlan is the public view of a planned query: the workload shape
 // read from the lexicon, the chosen engine, and — for cost-based plans —
-// every capable engine's estimate.
+// the estimate of each served engine (topk, join) that can run it.
 type QueryPlan struct {
 	Keywords  []string   `json:"keywords"`
 	Lists     []ListInfo `json:"lists"`
@@ -101,8 +101,9 @@ type QueryPlan struct {
 	K      int    `json:"k"`
 	Engine string `json:"engine"`
 	Reason string `json:"reason"`
-	// Costs holds every candidate engine's estimate, cheapest chosen;
-	// empty for an explicitly selected engine (nothing was costed).
+	// Costs holds each candidate's estimate — the served engines topk
+	// and join — cheapest chosen; empty for an explicitly selected
+	// engine (nothing was costed).
 	Costs []PlanCost `json:"costs,omitempty"`
 	// Auto reports a cost-based choice.
 	Auto bool `json:"auto"`

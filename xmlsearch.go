@@ -116,10 +116,12 @@ const (
 	AlgoHybrid
 	// AlgoAuto selects the engine per query with the cost-based planner:
 	// per-keyword row counts are read from the lexicon (no list is
-	// decoded), every capable engine is costed with the paper's
-	// frequency-skew heuristics, and the cheapest runs. Planning reads only
-	// lexicon statistics, so every call plans afresh; see Prepare for
-	// skipping tokenization.
+	// decoded), the two served engines — the top-K star join with its
+	// hand-off to the complete join, and the complete join — are costed
+	// with the paper's heuristics, and the cheaper runs. The comparison
+	// engines (stack, index lookup, RDIL, hybrid) run only when named.
+	// Planning reads only lexicon statistics, so every call plans afresh;
+	// see Prepare for skipping tokenization.
 	AlgoAuto
 )
 
