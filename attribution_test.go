@@ -102,7 +102,7 @@ func TestStageSignatureShardCountInvariance(t *testing.T) {
 	if sigs[1] != sigs[4] {
 		t.Fatalf("stage signature differs across shard counts:\nshards=1:\n%s\nshards=4:\n%s", sigs[1], sigs[4])
 	}
-	const golden = "stages: merge,settle\nshard-stages: admission,open,join,settle\n"
+	const golden = "stages: merge,settle\nshard-stages: admission,plan,open,join,settle\n"
 	if sigs[1] != golden {
 		t.Errorf("stage signature = %q, want golden %q", sigs[1], golden)
 	}

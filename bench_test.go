@@ -17,11 +17,13 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	xmlsearch "repro"
 	"repro/internal/bench"
 	"repro/internal/colstore"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/ixlookup"
 	"repro/internal/obs"
 	"repro/internal/stack"
@@ -226,6 +228,59 @@ func BenchmarkAblationCompression(b *testing.B) {
 			b.ReportMetric(float64(raw)/float64(compressed), "compression-ratio")
 		}
 	})
+}
+
+// BenchmarkPullPrice measures the planner's pull price, exec.PullCost:
+// what one star-join pull costs in units of exec.CostJoin's estimate.
+// Per query shape of the benchmark mix it runs the uncapped star join
+// (top-10) and the complete join with its ranking over the same queries
+// and reports ns/pull (star-join time ÷ rows pulled), ns/joinrow
+// (complete-join time ÷ the summed CostJoin estimates) and their ratio.
+func BenchmarkPullPrice(b *testing.B) {
+	dblp, _ := benchEnvs(b)
+	ds := dblp.DS
+	var band, equal [][]string
+	for _, df := range ds.BandValues {
+		if df != ds.HighDF {
+			band = append(band, dblp.BandQueries(1, 2, df, 4)...)
+			band = append(band, dblp.BandQueries(2, 3, df, 4)...)
+		}
+		if len(ds.Bands[df]) >= 3 {
+			equal = append(equal, dblp.EqualFreqQueries(1, 2, df, 4)...)
+			equal = append(equal, dblp.EqualFreqQueries(2, 3, df, 4)...)
+		}
+	}
+	for _, shape := range []struct {
+		name string
+		qs   [][]string
+	}{{"band", band}, {"equal", equal}, {"corr", dblp.CorrelatedQueries()}} {
+		b.Run(shape.name, func(b *testing.B) {
+			var starNs, joinNs, pulls, joinRows float64
+			for i := 0; i < b.N; i++ {
+				for _, q := range shape.qs {
+					st := exec.Stats{Nodes: ds.Doc.Len(), Depth: ds.Doc.Depth}
+					tk := make([]*colstore.TKList, len(q))
+					col := make([]*colstore.List, len(q))
+					for j, w := range q {
+						st.Lists = append(st.Lists, exec.ListStat{Keyword: w, Rows: dblp.Store.DocFreq(w)})
+						tk[j], col[j] = dblp.Store.TopKList(w), dblp.Store.List(w)
+					}
+					start := time.Now()
+					_, ts := topk.Evaluate(tk, topk.Options{K: 10})
+					starNs += float64(time.Since(start))
+					start = time.Now()
+					rs, _ := core.Evaluate(col, core.Options{})
+					core.SortByScore(rs)
+					joinNs += float64(time.Since(start))
+					pulls += float64(ts.RowsPulled)
+					joinRows += exec.CostJoin(exec.Query{Keywords: q, K: 10}, st)
+				}
+			}
+			b.ReportMetric(starNs/pulls, "ns/pull")
+			b.ReportMetric(joinNs/joinRows, "ns/joinrow")
+			b.ReportMetric((starNs/pulls)/(joinNs/joinRows), "joinrows/pull")
+		})
+	}
 }
 
 // BenchmarkTopK measures the join-based top-K star join with tracing

@@ -71,9 +71,9 @@ func runQuery(args []string) {
 	xmlPath := fs.String("xml", "", "XML document to index on the fly")
 	k := fs.Int("k", 10, "number of results (0 = all)")
 	semName := fs.String("sem", "elca", "semantics: elca or slca")
-	algoName := fs.String("algo", "join", "engine: join, stack, ixlookup, rdil, hybrid, or auto (cost-based)")
+	algoName := fs.String("algo", "join", "engine: join (top-K: the cheaper of the star join and the complete join), stack, ixlookup, rdil, hybrid (an alias of join), or auto (cost-based)")
 	plan := fs.Bool("plan", false, "print the query plan (chosen engine, cost estimates) before the results")
-	stream := fs.Bool("stream", false, "print top-K results as they are proven (join engine)")
+	stream := fs.Bool("stream", false, "print top-K results as they are proven (the star join)")
 	explain := fs.Bool("explain", false, "print the execution profile after the results")
 	trace := fs.Bool("trace", false, "print the per-query execution trace after the results")
 	traceOut := fs.String("trace-out", "", "write the query's full execution profile (span tree + events) as JSON to this file (implies tracing)")

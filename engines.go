@@ -28,13 +28,13 @@ type queryEngine = exec.Engine[*snapshot, Result]
 
 // engines holds every evaluator. Only the two served engines, "topk"
 // (the star join with its hand-off) and "join", carry a cost model, so
-// AlgoAuto chooses between them alone; an engine without a cost model is
-// never planned, and the paper's Section V comparison engines (stack,
-// ixlookup, rdil, hybrid) run only when named. Registration order
-// matters twice: the planner breaks cost ties in registration order, and
-// ForAlgo returns the first capability match — "topk" precedes "join" so
-// an explicit AlgoJoin top-K query runs the star join while a complete
-// one runs the full bottom-up join, exactly as before.
+// the planner — AlgoAuto, and the default AlgoJoin top-K — chooses
+// between them alone; an engine without a cost model is never planned,
+// and the paper's Section V comparison engines (stack, ixlookup, rdil)
+// run only when named. Registration order matters twice: the planner
+// breaks cost ties in registration order, and ForStream returns the
+// first streaming engine — "topk", the star join every stream, partial
+// and candidate-budgeted top-K runs (request.starJoin).
 var engines = exec.NewRegistry(
 	&queryEngine{
 		Name: "topk", Algo: int(AlgoJoin),
@@ -60,11 +60,6 @@ var engines = exec.NewRegistry(
 		Name: "rdil", Algo: int(AlgoRDIL),
 		Caps: exec.CapTopK, Obs: obs.EngineRDIL,
 		Run: runRDIL,
-	},
-	&queryEngine{
-		Name: "hybrid", Algo: int(AlgoHybrid),
-		Caps: exec.CapTopK, Obs: obs.EngineHybrid,
-		Run: runHybrid,
 	},
 )
 
@@ -108,12 +103,12 @@ func completeJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace)
 }
 
 // starJoin runs the top-K star join (Section IV) with a bounded-regret
-// cap: it stops once it has pulled as many rows as the complete join is
-// estimated to cost over the same lists (exec.CostJoin, from the lexicon
-// DFs), so a TopK never costs much more than complete-then-rank. On a
-// hand-off (Stats.HandedOff) it returns the star join's proven prefix;
-// the caller finishes with handOff. Every proven result also goes to
-// emit (nil: none).
+// cap: it stops once its pulls, priced at exec.PullCost, add up to what
+// the complete join is estimated to cost over the same lists
+// (exec.PullCap, from the lexicon DFs), so a TopK never costs much more
+// than complete-then-rank. On a hand-off (Stats.HandedOff) it returns
+// the star join's proven prefix; the caller finishes with handOff. Every
+// proven result also goes to emit (nil: none).
 func starJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace, emit func(core.Result) bool) ([]core.Result, topk.Stats, error) {
 	osp := tr.Stage(obs.StageOpen)
 	lists, err := s.store.TopKListsBudget(q.Keywords, tr, q.Budget)
@@ -126,7 +121,7 @@ func starJoin(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace, emi
 	return topk.EvaluateFuncCtx(ctx, lists, topk.Options{
 		Semantics: core.Semantics(q.Semantics), Decay: q.Decay, K: q.K, Trace: tr,
 		Budget: q.Budget, Partial: q.AllowPartial && emit == nil,
-		MaxPulls: int(math.Ceil(exec.CostJoin(q, s.planStats(q.Keywords)))),
+		MaxPulls: exec.PullCap(q, s.planStats(q.Keywords)),
 	}, emit)
 }
 
@@ -256,32 +251,6 @@ func runRDIL(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]R
 		return nil, abortedMeta(), err
 	}
 	return materializeDewey(s, rs, 0), exec.RunMeta{}, nil
-}
-
-// runHybrid is the Section V-D strategy: a cardinality estimate decides
-// between the star join and the complete evaluation. Its abort-time
-// results are discarded rather than certified: which branch ran (and so
-// whether a bound exists) is a planning detail the facade cannot see.
-func runHybrid(ctx context.Context, s *snapshot, q exec.Query, tr *obs.Trace) ([]Result, exec.RunMeta, error) {
-	osp := tr.Stage(obs.StageOpen)
-	colLists, lerr := s.store.ListsBudget(q.Keywords, tr, q.Budget)
-	if lerr != nil {
-		tr.End(osp)
-		return nil, abortedMeta(), lerr
-	}
-	tkLists, lerr := s.store.TopKListsBudget(q.Keywords, tr, q.Budget)
-	tr.End(osp)
-	if lerr != nil {
-		return nil, abortedMeta(), lerr
-	}
-	jsp := tr.Stage(obs.StageJoin)
-	defer tr.End(jsp)
-	rs, _, err := topk.EvaluateHybridCtx(ctx, colLists, tkLists,
-		topk.HybridOptions{Semantics: core.Semantics(q.Semantics), Decay: q.Decay, K: q.K, Trace: tr, Budget: q.Budget})
-	if err != nil {
-		return nil, abortedMeta(), err
-	}
-	return s.materializeJoin(rs, 0), exec.RunMeta{}, nil
 }
 
 // truncate caps a ranked result slice at k (0 = no cap).

@@ -20,7 +20,7 @@ import (
 
 // registrationOrder is the engine registry's order, which breaks a tie
 // between the engines the shards ran.
-var registrationOrder = []string{"topk", "join", "stack", "ixlookup", "rdil", "hybrid"}
+var registrationOrder = []string{"topk", "join", "stack", "ixlookup", "rdil"}
 
 // TestShardedReportsExecutedPlans: on a corpus where the shards of an
 // AlgoAuto query plan different engines, QueryStats carries each shard's
@@ -28,13 +28,13 @@ var registrationOrder = []string{"topk", "join", "stack", "ixlookup", "rdil", "h
 // QueryStats, the metrics slot, the flight-recorder record and /search —
 // and /search lists every shard's engine instead of a re-planned stand-in.
 //
-// AlgoAuto plans only topk and join, so the pinned query is a band term
-// with one high-frequency term: on the DBLP 0.05 seed 1 corpus its four
-// shards plan [join topk join join]. Each shard runs k+1 (the synthetic
-// root may take a slot), so k = 5 keeps the shards' k-bucket that of the
-// reference plans.
+// AlgoAuto plans only topk and join, so the pinned query is three terms
+// of one low band: on the DBLP 0.05 seed 1 corpus its four shards plan
+// [topk join join join]. Each shard runs k+1 (the synthetic root may take
+// a slot), so k = 10 keeps the shards' k-bucket that of the reference
+// plans.
 func TestShardedReportsExecutedPlans(t *testing.T) {
-	const query, k = "band50x0 high500x0", 5
+	const query, k = "band5x0 band5x1 band5x2", 10
 	sh, err := xmlsearch.NewSharded(gen.DBLP(0.05, 1).Doc, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestShardedReportsExecutedPlans(t *testing.T) {
 
 	// An explicit algorithm reports the engine it always did, on the
 	// coordinator and every shard.
-	for algo, want := range map[xmlsearch.Algorithm]string{xmlsearch.AlgoStack: "stack", xmlsearch.AlgoJoin: "topk"} {
+	for algo, want := range map[xmlsearch.Algorithm]string{xmlsearch.AlgoStack: "stack", xmlsearch.AlgoIndexLookup: "ixlookup"} {
 		_, qs, err := sh.TopKTraced(context.Background(), query, k, xmlsearch.SearchOptions{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
@@ -108,6 +108,20 @@ func TestShardedReportsExecutedPlans(t *testing.T) {
 			if p.Engine != want || p.Auto {
 				t.Errorf("%v: shard %d plan %v, want the trivial %s plan", algo, i, p, want)
 			}
+		}
+	}
+
+	// The default top-K plans on every shard exactly as AlgoAuto does.
+	_, qs, err = sh.TopKTraced(context.Background(), query, k, xmlsearch.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs.Engine != most {
+		t.Errorf("default top-K: coordinator engine %q, want %q", qs.Engine, most)
+	}
+	for i, p := range qs.ShardPlans {
+		if p.Engine != names[i] || !p.Auto {
+			t.Errorf("default top-K: shard %d plan %v, want the planned %s", i, p, names[i])
 		}
 	}
 

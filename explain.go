@@ -45,9 +45,9 @@ type Explanation struct {
 	Trace *obs.Trace
 
 	// Plan is the query plan: which engine the planner resolved, and —
-	// when the query was explained under AlgoAuto — the cost estimate of
-	// each candidate, the served engines topk and join (a complete query
-	// has join alone).
+	// when the planner chose (AlgoAuto, or a top-K under AlgoJoin) — the
+	// cost estimate of each candidate, the served engines topk and join
+	// (a complete query has join alone).
 	Plan *QueryPlan
 
 	// Complete evaluation (K == 0).
@@ -68,9 +68,10 @@ type Explanation struct {
 // evaluation when k == 0, the top-K star join otherwise) and returns the
 // execution profile together with the result count. Only the join-based
 // engines expose these counters; baselines are for comparison benchmarks.
-// AlgoAuto is accepted: the counters still come from the join-based run,
-// while the attached Plan reports the engine the cost-based planner
-// would pick, topk or join, and each candidate's estimate.
+// AlgoAuto is accepted. The counters come from the join-based run, while
+// the attached Plan of a top-K (or of any AlgoAuto query) reports the
+// engine the cost-based planner would pick, topk or join, and each
+// candidate's estimate.
 func (ix *Index) Explain(query string, k int, opt SearchOptions) (*Explanation, error) {
 	if opt.Algorithm != AlgoJoin && opt.Algorithm != AlgoAuto {
 		return nil, fmt.Errorf("xmlsearch: Explain supports the join-based engine only")

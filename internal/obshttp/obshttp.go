@@ -402,8 +402,9 @@ func (h *Handler) shards(w http.ResponseWriter, r *http.Request) {
 }
 
 // engineByName maps the ?engine= parameter to an Algorithm. The names
-// match obs.Engine labels; "topk" selects the default join-based top-K
-// engine explicitly, "auto" the cost-based planner.
+// match obs.Engine labels; "topk" and "hybrid" are aliases of "join", the
+// default top-K — the cheaper of the star join and the complete join, as
+// "auto", the cost-based planner, picks it.
 func engineByName(name string) (xmlsearch.Algorithm, error) {
 	switch name {
 	case "", "join", "topk":

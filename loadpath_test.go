@@ -46,7 +46,7 @@ func assertAnswersEqual(t *testing.T, stage string, built, loaded searcher, quer
 	found := 0
 	for _, algo := range algos {
 		complete := algo == AlgoAuto || engines.ForAlgo(int(algo), false) != nil
-		topK := algo == AlgoAuto || engines.ForAlgo(int(algo), true) != nil
+		topK := algo.valid() // every algorithm serves top-K; AlgoHybrid as AlgoJoin's alias
 		for _, sem := range []Semantics{ELCA, SLCA} {
 			opt := SearchOptions{Semantics: sem, Algorithm: algo}
 			for _, q := range queries {

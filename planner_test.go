@@ -361,8 +361,9 @@ func TestQueryPlanShape(t *testing.T) {
 	}
 }
 
-// TestExplicitAlgoDoesNotPlan: only AlgoAuto runs the cost model; the
-// explicit algorithms resolve by registry lookup alone.
+// TestExplicitAlgoDoesNotPlan: only AlgoAuto and the default top-K
+// (AlgoJoin, and AlgoHybrid, its alias) run the cost model; the explicit
+// algorithms resolve by registry lookup alone.
 func TestExplicitAlgoDoesNotPlan(t *testing.T) {
 	idx := mustIndex(t, plannerTestDoc)
 	for _, algo := range []Algorithm{AlgoJoin, AlgoStack, AlgoIndexLookup} {
@@ -370,7 +371,7 @@ func TestExplicitAlgoDoesNotPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, algo := range []Algorithm{AlgoJoin, AlgoRDIL, AlgoHybrid} {
+	for _, algo := range []Algorithm{AlgoRDIL} {
 		if _, err := idx.TopK("sensor network", 3, SearchOptions{Algorithm: algo}); err != nil {
 			t.Fatal(err)
 		}
@@ -378,5 +379,13 @@ func TestExplicitAlgoDoesNotPlan(t *testing.T) {
 	p := idx.Stats().Planner
 	if p.AutoPlans != 0 {
 		t.Fatalf("explicit algorithms built auto plans: %d", p.AutoPlans)
+	}
+	for _, algo := range []Algorithm{AlgoJoin, AlgoHybrid} {
+		if _, err := idx.TopK("sensor network", 3, SearchOptions{Algorithm: algo}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p := idx.Stats().Planner; p.AutoPlans != 2 {
+		t.Fatalf("the default top-K built %d auto plans in two queries, want 2", p.AutoPlans)
 	}
 }

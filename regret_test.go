@@ -57,10 +57,10 @@ func assertRanked(t *testing.T, name string, want, got []Result, k int) {
 	}
 }
 
-// TestTopKBoundedRegret: on band queries the zero-option TopK hands off
-// to the complete join within its pull cap, and its answer is Search's
-// ranking cut to K — on an Index, on 2 and 4 shards, and under the stack
-// engine.
+// TestTopKBoundedRegret: on band queries the star join ("topk") hands
+// off to the complete join within its pull cap, and its answer is
+// Search's ranking cut to K — as is the zero-option TopK's on 2 and 4
+// shards, and the stack engine's.
 func TestTopKBoundedRegret(t *testing.T) {
 	ds := gen.DBLP(0.1, 1)
 	idx, err := FromDocument(ds.Doc)
@@ -73,7 +73,6 @@ func TestTopKBoundedRegret(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctx := context.Background()
 	for _, query := range bandQueries(ds) {
 		for _, sem := range []Semantics{ELCA, SLCA} {
 			opt := SearchOptions{Semantics: sem}
@@ -83,12 +82,12 @@ func TestTopKBoundedRegret(t *testing.T) {
 			}
 			for _, k := range []int{1, 10, 50} {
 				name := fmt.Sprintf("%q %v k=%d", query, sem, k)
-				top, qs, err := idx.TopKTraced(ctx, query, k, opt)
+				top, tr, err := idx.topKOn("topk", query, k, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				assertRanked(t, name, all, top, k)
-				ev, ok := handOffEvent(qs.Trace)
+				ev, ok := handOffEvent(tr)
 				if !ok {
 					t.Fatalf("%s: no hand-off to the complete join", name)
 				}

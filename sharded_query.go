@@ -219,12 +219,13 @@ func (out *outcome) ran(parts []shardPart, traced bool) {
 	}
 }
 
-// gather scatters the request and merges the shards' answers. Top-K
-// requests the star join serves (AlgoJoin's top-K mode, and TopKStream
-// always) reach the shards as streams whose results feed the threshold
-// exchange as they arrive; every other request — including AlgoAuto,
-// which plans per shard against each shard's own statistics — runs as a
-// batch whose results are collected when the shard returns. Either way
+// gather scatters the request and merges the shards' answers. A
+// star-join request (request.starJoin: a stream, or a partial or
+// candidate-budgeted top-K) reaches the shards as a stream whose results
+// feed the threshold exchange as they arrive; every other request —
+// including a planned top-K, which each shard plans against its own
+// statistics — runs as a batch whose results are collected when the
+// shard returns. Either way
 // each shard result goes through the one collect, and the parts through
 // the one merge. The parts come back even when the scatter failed.
 func (sh *Sharded) gather(ctx context.Context, req request) ([]Result, []shardPart, error) {
@@ -233,7 +234,7 @@ func (sh *Sharded) gather(ctx context.Context, req request) ([]Result, []shardPa
 	sh.mu.RUnlock()
 	parts := make([]shardPart, len(sh.shards))
 	var thr *shard.Threshold
-	if req.op == opStream || (req.op == opTopK && req.opt.Algorithm == AlgoJoin) {
+	if req.starJoin() {
 		thr = shard.NewThreshold(req.k)
 	}
 	err := sh.scatter(ctx, req.tr, func(i int, sctx context.Context, str *obs.Trace) error {
