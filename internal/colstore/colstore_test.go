@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/jdewey"
@@ -454,4 +455,50 @@ func TestSparseIndexSizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertListsEqual(t, bigList, back)
+}
+
+// TestHeadShared: a head sample as deep as every list counts exactly the
+// elements that hold every term; a sample of nothing, or over a term no
+// element holds, shares nothing.
+func TestHeadShared(t *testing.T) {
+	_, m := buildDoc(t, 5, testutil.MediumParams())
+	s := Build(m)
+	var terms []string
+	for w := range m.Terms {
+		terms = append(terms, w)
+	}
+	sort.Strings(terms)
+	deep := 0
+	for _, occs := range m.Terms {
+		deep = max(deep, len(occs))
+	}
+	nonzero := 0
+	for i := 0; i+1 < len(terms) && i < 40; i += 2 {
+		a, b := terms[i], terms[i+1]
+		holds := map[*xmltree.Node]bool{}
+		for _, o := range m.Terms[a] {
+			holds[o.Node] = true
+		}
+		want := 0
+		for _, o := range m.Terms[b] {
+			if holds[o.Node] {
+				want++
+			}
+		}
+		if got, err := s.HeadShared([]string{a, b}, deep, nil); err != nil || got != want {
+			t.Fatalf("HeadShared(%q, %q) = %d, %v; want %d", a, b, got, err, want)
+		}
+		if want > 0 {
+			nonzero++
+		}
+		if got, _ := s.HeadShared([]string{a, b}, 0, nil); got != 0 {
+			t.Fatalf("a sample of no rows shares %d", got)
+		}
+		if got, _ := s.HeadShared([]string{a, "no-such-term"}, deep, nil); got != 0 {
+			t.Fatalf("a missing list shares %d", got)
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("no pair of terms shares an element: the test checks nothing")
+	}
 }

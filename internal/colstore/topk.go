@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"repro/internal/budget"
 	"repro/internal/occur"
 )
 
@@ -40,6 +42,41 @@ func (l *TKList) NumRows() int {
 		n += len(g.Rows)
 	}
 	return n
+}
+
+// HeadShared counts the elements among the top h rows of every term's
+// score-ordered list, h from each length group — the score-sorted runs
+// the star join's columns merge. It is the sample of keyword correlation
+// a top-K plan reads, taken where the star join meets it: the star join
+// stops early exactly when its first pulls join. The lists open as for a
+// query, charged to bdg; h <= 0 samples nothing, and a missing list
+// shares nothing.
+func (s *Store) HeadShared(terms []string, h int, bdg *budget.B) (int, error) {
+	if h <= 0 || len(terms) == 0 {
+		return 0, nil
+	}
+	lists, err := s.TopKListsBudget(terms, nil, bdg)
+	keys := make([]uint64, 0, len(lists)*h)
+	for _, l := range lists {
+		if l == nil {
+			return 0, err
+		}
+		for _, g := range l.Groups { // level and JDewey number identify an element
+			for _, r := range g.Rows[:min(h, len(g.Rows))] {
+				keys = append(keys, uint64(g.Len)<<32|uint64(r.Seq[g.Len-1]))
+			}
+		}
+	}
+	// Sorted, an element every list holds is a run of len(lists) keys: a
+	// list holds an element at most once.
+	slices.Sort(keys)
+	shared := 0
+	for i := len(lists) - 1; i < len(keys); i++ {
+		if keys[i] == keys[i-len(lists)+1] {
+			shared++
+		}
+	}
+	return shared, err
 }
 
 // BuildTKList assembles the score-sorted list from one keyword's

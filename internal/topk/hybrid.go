@@ -1,13 +1,11 @@
 package topk
 
 import (
-	"context"
+	"math"
 	"sort"
 
-	"repro/internal/budget"
 	"repro/internal/colstore"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // This file implements the hybrid strategy sketched in Section V-D of the
@@ -29,16 +27,12 @@ func EstimateCardinality(lists []*colstore.List) int {
 	if len(lists) == 0 {
 		return 0
 	}
+	lmin := math.MaxInt
 	for _, l := range lists {
 		if l == nil || l.NumRows == 0 {
 			return 0
 		}
-	}
-	lmin := lists[0].MaxLen
-	for _, l := range lists {
-		if l.MaxLen < lmin {
-			lmin = l.MaxLen
-		}
+		lmin = min(lmin, l.MaxLen)
 	}
 	total := 0
 	for lev := lmin; lev >= 1; lev-- {
@@ -83,16 +77,6 @@ type HybridOptions struct {
 	// chosen; below it the complete evaluation is expected to be cheaper.
 	// Zero selects DefaultHybridRatio.
 	MinRatio int
-
-	// Trace, when non-nil, records the plan decision (with the estimated
-	// cardinality and the ratio*K cutoff that triggered it) and is passed
-	// down to whichever engine runs.
-	Trace *obs.Trace
-
-	// Budget, when non-nil, is passed to the star join (which charges a
-	// candidate per pulled row); the complete-evaluation branch observes
-	// only the decoded-bytes dimension, charged by the storage layer.
-	Budget *budget.B
 }
 
 // DefaultHybridRatio requires the estimated result count to exceed 4K
@@ -106,41 +90,18 @@ const DefaultHybridRatio = 4
 // V-D hybrid. Both inputs must describe the same keywords in the same
 // order.
 func EvaluateHybrid(colLists []*colstore.List, tkLists []*colstore.TKList, opt HybridOptions) ([]core.Result, bool) {
-	rs, usedTopK, _ := EvaluateHybridCtx(context.Background(), colLists, tkLists, opt)
-	return rs, usedTopK
-}
-
-// EvaluateHybridCtx is EvaluateHybrid honoring a context: both the
-// cardinality estimate and the chosen engine observe cancellation.
-func EvaluateHybridCtx(ctx context.Context, colLists []*colstore.List, tkLists []*colstore.TKList, opt HybridOptions) ([]core.Result, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ratio := opt.MinRatio
 	if ratio <= 0 {
 		ratio = DefaultHybridRatio
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
+	if EstimateCardinality(colLists) >= ratio*opt.K {
+		rs, _ := Evaluate(tkLists, Options{Semantics: opt.Semantics, Decay: opt.Decay, K: opt.K})
+		return rs, true
 	}
-	est := EstimateCardinality(colLists)
-	if est >= ratio*opt.K {
-		if opt.Trace != nil {
-			opt.Trace.PlanSwitch("topk-join", 0, est, ratio*opt.K)
-		}
-		rs, _, err := EvaluateCtx(ctx, tkLists, Options{Semantics: opt.Semantics, Decay: opt.Decay, K: opt.K, Trace: opt.Trace, Budget: opt.Budget})
-		return rs, true, err
-	}
-	if opt.Trace != nil {
-		opt.Trace.PlanSwitch("full-join", 0, est, ratio*opt.K)
-	}
-	rs, _, err := core.EvaluateCtx(ctx, colLists, core.Options{Semantics: opt.Semantics, Decay: opt.Decay, Trace: opt.Trace})
-	if err != nil {
-		return rs, false, err
-	}
+	rs, _ := core.Evaluate(colLists, core.Options{Semantics: opt.Semantics, Decay: opt.Decay})
 	core.SortByScore(rs)
 	if len(rs) > opt.K {
 		rs = rs[:opt.K]
 	}
-	return rs, false, nil
+	return rs, false
 }

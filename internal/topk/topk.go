@@ -104,13 +104,18 @@ func Evaluate(lists []*colstore.TKList, opt Options) ([]core.Result, Stats) {
 // expiry is observed at every column start and periodically inside the
 // pull loop, aborting the star join with ctx.Err().
 func EvaluateCtx(ctx context.Context, lists []*colstore.TKList, opt Options) ([]core.Result, Stats, error) {
+	return evaluate(ctx, sources(lists), opt, nil)
+}
+
+// sources views in-memory lists as TKSources; a nil list stays nil.
+func sources(lists []*colstore.TKList) []colstore.TKSource {
 	srcs := make([]colstore.TKSource, len(lists))
 	for i, l := range lists {
 		if l != nil {
 			srcs[i] = l
 		}
 	}
-	return evaluate(ctx, srcs, opt, nil)
+	return srcs
 }
 
 // EvaluateSources runs the top-K star join over TKSource views (in-memory
@@ -134,26 +139,14 @@ func EvaluateSourcesCtx(ctx context.Context, lists []colstore.TKSource, opt Opti
 // early; the results emitted so far are still returned. A nil emit makes
 // it equivalent to Evaluate.
 func EvaluateFunc(lists []*colstore.TKList, opt Options, emit func(core.Result) bool) ([]core.Result, Stats) {
-	srcs := make([]colstore.TKSource, len(lists))
-	for i, l := range lists {
-		if l != nil {
-			srcs[i] = l
-		}
-	}
-	rs, st, _ := evaluate(context.Background(), srcs, opt, emit)
+	rs, st, _ := evaluate(context.Background(), sources(lists), opt, emit)
 	return rs, st
 }
 
 // EvaluateFuncCtx is EvaluateFunc honoring a context. On cancellation the
 // results emitted so far are returned alongside ctx.Err().
 func EvaluateFuncCtx(ctx context.Context, lists []*colstore.TKList, opt Options, emit func(core.Result) bool) ([]core.Result, Stats, error) {
-	srcs := make([]colstore.TKSource, len(lists))
-	for i, l := range lists {
-		if l != nil {
-			srcs[i] = l
-		}
-	}
-	return evaluate(ctx, srcs, opt, emit)
+	return evaluate(ctx, sources(lists), opt, emit)
 }
 
 func evaluate(ctx context.Context, lists []colstore.TKSource, opt Options, emit func(core.Result) bool) ([]core.Result, Stats, error) {
