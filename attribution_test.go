@@ -167,7 +167,7 @@ func TestBreakdownSharesSumOnWorkload(t *testing.T) {
 				r.Seq, sum, bd.WallNs, diff, breakdownDump(bd))
 		}
 		if bd.Dominant == "" {
-			t.Errorf("seq %d: no dominant stage in a traced query", r.Seq)
+			t.Errorf("seq %d: no dominant stage in a traced query (wall %dns)\n%s", r.Seq, bd.WallNs, breakdownDump(bd))
 		}
 		checked++
 	}

@@ -424,19 +424,23 @@ func (ix *Index) resolveEngine(s *snapshot, q exec.Query, req *request) (*queryE
 }
 
 // planAuto returns the cost-based plan for the query against the pinned
-// snapshot: lexicon row counts, and for a top-K the head sample of the
-// lists the star join reads (exec.HeadRows), opened — and charged to the
-// query's budget — as the star join opens them. Every call plans.
+// snapshot from the lexicon row counts. The head sample of the lists the
+// star join reads (exec.HeadRows) can only lower the star join's price, so
+// a top-K takes it — opening the lists, charged to the query's budget, as
+// the star join opens them — only when the plan without it would pick the
+// complete join. Every call plans.
 func (ix *Index) planAuto(s *snapshot, q exec.Query, tr *obs.Trace) (*exec.Plan, error) {
 	// Cost the k-bucket, not the exact k, so nearby k values plan alike;
 	// the engine still runs the exact k.
 	bq := q
 	bq.K = exec.KBucket(q.K)
 	st := s.planStats(q.Keywords)
-	st.HeadRows = exec.HeadRows(bq.K) // 0 for a complete plan: no sample
-	var err error
-	if st.HeadShared, err = s.store.HeadShared(q.Keywords, st.HeadRows, q.Budget); err != nil {
-		return nil, err
+	if bq.K > 0 && engines.Cheapest(bq, st) == "join" {
+		st.HeadRows = exec.HeadRows(bq.K)
+		var err error
+		if st.HeadShared, err = s.store.HeadShared(q.Keywords, st.HeadRows, q.Budget); err != nil {
+			return nil, err
+		}
 	}
 	p := engines.Plan(bq, st, s.gen)
 	if p == nil {

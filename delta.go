@@ -9,7 +9,6 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/jdewey"
 	"repro/internal/occur"
-	"repro/internal/score"
 	"repro/internal/tokenize"
 	"repro/internal/xmltree"
 )
@@ -18,14 +17,15 @@ import (
 // fast-path insert does not clone the corpus — it records the operation in
 // a small immutable delta segment layered over the base snapshot. The
 // delta holds the floating nodes (attached to base parents only through a
-// copy-on-write children map, so the base tree is never mutated), the
-// fully merged occurrence lists of the dirty terms, and the replay script
-// — the inserts themselves, as Mutations — that rebuilds the same logical
-// state from the base (materializeOf hands it to the slow loop of
-// update.go whenever the compactor, a save or a slow-path commit needs a
-// materialized snapshot). Queries read
-// base ⊕ delta through the snapshot accessors below plus the column-store
-// overlay (colstore.NewOverlay), so every engine works unchanged.
+// copy-on-write children map, so the base tree is never mutated) and the
+// fully merged occurrence lists of the dirty terms. Whenever the
+// compactor, a save or a slow-path commit needs a materialized snapshot,
+// the delta is folded: clones of the floating nodes, JDewey numbers and
+// all, are grafted onto a clone of the base, and the tree and the dirty
+// lists are refreshed once, whatever the delta's length (foldTree,
+// materializeOf). Queries read base ⊕ delta through the snapshot accessors
+// below plus the column-store overlay (colstore.NewOverlay), so every
+// engine works unchanged.
 //
 // Only appending leaf inserts ride the fast path (fastInsert, called only
 // by update.go's fastChain): a removal, an insert at a non-tail position,
@@ -42,11 +42,10 @@ import (
 // publishes build successor segments copy-on-write; a pinned reader keeps
 // its segment unchanged forever.
 type deltaSeg struct {
-	// ops replays the segment against the base snapshot, in order: the
-	// fast-path inserts as they were submitted. A parent's Dewey identifier
-	// is stable under append-only growth, so running them through the slow
-	// loop reproduces the delta view exactly (modulo freshly assigned
-	// JDewey numbers).
+	// ops lists the fast-path inserts as they were submitted. A parent's
+	// Dewey identifier is stable under append-only growth, so the
+	// compactor can rebase the ops published during its fold onto the
+	// folded snapshot; the fold itself reads the floating nodes, not ops.
 	ops []Mutation
 	// added indexes the floating nodes: level → minted JDewey number → node.
 	added map[int]map[uint32]*xmltree.Node
@@ -199,19 +198,20 @@ func (s *snapshot) topParentJD(level int) uint32 {
 
 // fastInsert attempts the delta fast path for the validated insert m
 // under parent against cur. It returns the successor snapshot, the new
-// floating node and the number of lists it rebuilt, or a nil snapshot when
-// the operation must take the materializing slow path: ElemRank indexes (a
+// floating node and the terms whose merged lists it changed (fastChain
+// rescores them and builds their overlay), or a nil snapshot when the
+// operation must take the materializing slow path: ElemRank indexes (a
 // structural mutation moves every rank), non-append positions, an append
 // whose JDewey number cannot legally go above its level's maximum, or a
 // dirty term whose base list is quarantined (the slow path rebuilds it
 // from the tree and lifts the quarantine).
-func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*snapshot, *xmltree.Node, int) {
+func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*snapshot, *xmltree.Node, map[string]int) {
 	if ix.cfg.elemRank || m.Pos != len(cur.visibleChildren(parent)) {
-		return nil, nil, 0
+		return nil, nil, nil
 	}
 	level := parent.Level + 1
 	if parent.JD < cur.topParentJD(level) {
-		return nil, nil, 0
+		return nil, nil, nil
 	}
 	// Mint the new number above everything assigned or reserved at the
 	// level, in base numbering and delta alike.
@@ -234,7 +234,7 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*s
 	}
 	jd++
 	if jd == 0 { // uint32 wraparound: the level is out of numbers
-		return nil, nil, 0
+		return nil, nil, nil
 	}
 
 	child := &xmltree.Node{
@@ -263,41 +263,34 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*s
 	}
 
 	// Merge the new occurrence into each dirty term's full list — placed by
-	// binary search: an append is not always a posting tail — and rescore
-	// it against the new document frequency (the corpus constant N, from
-	// the store, stays frozen exactly as on the slow path). A term's first
-	// touch reads its base postings from the base column list.
+	// binary search: an append is not always a posting tail. fastChain
+	// rescores the list once the chain is done. A term's first touch reads
+	// its base postings from the base column list.
 	counts := tokenize.TermCounts(m.Text)
 	bs := cur.baseStore()
 	seq := child.JDeweySeq()
-	touched := make(map[string][]occur.Occ, len(counts))
 	for term, tf := range counts {
 		prev, ok := d.terms[term]
 		if !ok {
 			if prev, ok = baseOccs(bs, cur.doc, term); !ok {
-				return nil, nil, 0
+				return nil, nil, nil
 			}
 		}
 		at := sort.Search(len(prev), func(i int) bool { return jdewey.Compare(prev[i].Node.JDeweySeq(), seq) > 0 })
 		merged := make([]occur.Occ, 0, len(prev)+1)
-		merged = append(append(append(merged, prev[:at]...), occur.Occ{Node: child, TF: tf}), prev[at:]...)
-		for i := range merged {
-			merged[i].Score = float32(score.Local(merged[i].TF, len(merged), bs.N))
-		}
-		d.terms[term], touched[term] = merged, merged
+		d.terms[term] = append(append(append(merged, prev[:at]...), occur.Occ{Node: child, TF: tf}), prev[at:]...)
 	}
 
-	// Only the touched lists are built; cur's overlay, if any, lends the
-	// other dirty terms' lists.
-	overlay := colstore.NewOverlay(&occur.Map{Terms: touched, N: bs.N, Depth: d.depth}, cur.store)
+	// The store stays cur's: fastChain rescores the changed lists and
+	// builds their overlay once, at the end of the chain.
 	return &snapshot{
 		doc:   cur.doc,
 		m:     cur.m,
-		store: overlay,
+		store: cur.store,
 		enc:   cur.enc,
 		delta: d,
 		epoch: cur.epoch,
-	}, child, len(counts)
+	}, child, counts
 }
 
 // baseOccs reads term's base postings from the column list of st, in
@@ -333,14 +326,29 @@ func baseOccs(st *colstore.Store, doc *xmltree.Document, term string) (occs []oc
 	return occs, true
 }
 
-// materializeOf folds base ⊕ delta into a delta-free snapshot the old
-// clone-everything way: clone the base parts, then hand the delta's ops to
-// the slow loop, which replays them through the real JDewey maintenance
-// path and rebuilds every dirty list. It reads only the immutable cur, so
-// callers may run it off the write lock (the background compactor does);
-// the result is private until published. For a delta-free cur it is
-// exactly the old clone().
+// materializeOf folds base ⊕ delta into a delta-free snapshot (foldTree)
+// and rebuilds the lists the fold left stale, once, whatever the delta's
+// length. It reads only the immutable cur, so callers may run it off the
+// write lock (the background compactor does); the result is private until
+// published. For a delta-free cur it is exactly the old clone().
 func (ix *Index) materializeOf(cur *snapshot) *snapshot {
+	next, dirty := foldTree(cur)
+	if len(dirty) > 0 {
+		ix.applyDirty(next, dirty)
+	}
+	return next
+}
+
+// foldTree clones the base parts of cur, grafts clones of the delta's
+// floating nodes under their cloned parents in creation order, refreshes
+// the tree once and reserves the minted numbers in the encoding. A graft
+// keeps the JDewey number the fast path minted for it, which is valid by
+// construction (fastInsert mints above every number at the level, under a
+// parent at least topParentJD), so the folded snapshot numbers its nodes
+// exactly as the delta view did. The lists of the delta's dirty terms are
+// still the base's: foldTree returns those terms, and its caller rebuilds
+// them — alone (materializeOf) or with its own operations' (applyTo).
+func foldTree(cur *snapshot) (*snapshot, map[string]bool) {
 	doc := cur.doc.Clone()
 	next := &snapshot{
 		doc:   doc,
@@ -348,12 +356,32 @@ func (ix *Index) materializeOf(cur *snapshot) *snapshot {
 		store: cur.baseStore().Clone(),
 		enc:   cur.enc.CloneFor(doc),
 	}
-	if cur.delta != nil {
-		// Every op was validated when it was recorded and its Dewey path
-		// resolves unchanged under append-only growth: only a bug fails here.
-		if _, _, _, err := ix.applySlow(next, cur.delta.ops); err != nil {
-			panic("xmlsearch: delta replay: " + err.Error())
+	dirty := map[string]bool{}
+	d := cur.delta
+	if d == nil {
+		return next, dirty
+	}
+	// Floating ordinals run on from the base's in creation order, and a
+	// floating parent precedes its children, so one pass over them in
+	// ordinal order finds every parent's clone already made.
+	clones := append(slices.Clone(doc.Nodes), make([]*xmltree.Node, d.addedCount)...)
+	for _, lm := range d.added {
+		for _, f := range lm {
+			clones[f.Ord] = f
 		}
 	}
-	return next
+	for _, f := range clones[len(doc.Nodes):] {
+		p := clones[f.Parent.Ord]
+		c := &xmltree.Node{Tag: f.Tag, Text: f.Text, JD: f.JD}
+		p.Children = append(p.Children, c)
+		clones[f.Ord] = c
+	}
+	doc.Refresh()
+	for level, jd := range d.maxJD {
+		next.enc.Reserve(level, jd)
+	}
+	for t := range d.terms {
+		dirty[t] = true
+	}
+	return next, dirty
 }

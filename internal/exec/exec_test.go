@@ -113,8 +113,8 @@ func TestPlanPicksCheapest(t *testing.T) {
 			best, cheapest = c.Cost, c.Engine
 		}
 	}
-	if p.Engine != cheapest {
-		t.Fatalf("plan chose %s, cheapest is %s (%v)", p.Engine, cheapest, p.Costs)
+	if p.Engine != cheapest || r.Cheapest(Query{Keywords: []string{"a", "b"}}, st) != cheapest {
+		t.Fatalf("plan chose %s, Cheapest %s, cheapest is %s (%v)", p.Engine, r.Cheapest(Query{Keywords: []string{"a", "b"}}, st), cheapest, p.Costs)
 	}
 	if p.Reason == "" {
 		t.Fatal("plan has no reason")
@@ -124,6 +124,9 @@ func TestPlanPicksCheapest(t *testing.T) {
 	p = r.Plan(Query{Keywords: []string{"a", "b"}, K: 10}, st, 7)
 	if p == nil || len(p.Costs) != 2 || p.Costs[0].Engine != "topk" || p.Costs[1].Engine != "join" {
 		t.Fatalf("top-K plan = %+v, want 2 candidates (topk, join)", p)
+	}
+	if got := r.Cheapest(Query{Keywords: []string{"a", "b"}, K: 10}, st); got != p.Engine {
+		t.Fatalf("Cheapest = %s, Plan chose %s", got, p.Engine)
 	}
 }
 
@@ -137,6 +140,9 @@ func TestPlanNoCapableEngine(t *testing.T) {
 	)
 	if p := r.Plan(Query{Keywords: []string{"a"}}, stats(2, 10, 5), 1); p != nil {
 		t.Fatalf("Plan served complete mode without a costed complete engine: %+v", p)
+	}
+	if e := r.Cheapest(Query{Keywords: []string{"a"}}, stats(2, 10, 5)); e != "" {
+		t.Fatalf("Cheapest named %q for complete mode without a costed complete engine", e)
 	}
 }
 

@@ -34,10 +34,6 @@ type Plan struct {
 // engine without a Cost is never planned: it runs only when named. Plan
 // returns nil when no costed engine can serve the mode.
 func (r *Registry[S, R]) Plan(q Query, st Stats, gen int64) *Plan {
-	want := CapComplete
-	if q.K > 0 {
-		want = CapTopK
-	}
 	p := &Plan{
 		Keywords:   q.Keywords,
 		Semantics:  q.Semantics,
@@ -46,18 +42,7 @@ func (r *Registry[S, R]) Plan(q Query, st Stats, gen int64) *Plan {
 		Generation: gen,
 		Auto:       true,
 	}
-	var chosen *Engine[S, R]
-	best := math.Inf(1)
-	for _, e := range r.engines {
-		if e.Caps&want == 0 || e.Cost == nil {
-			continue
-		}
-		c := e.Cost(q, st)
-		p.Costs = append(p.Costs, EngineCost{Engine: e.Name, Cost: c})
-		if chosen == nil || c < best {
-			chosen, best = e, c
-		}
-	}
+	chosen, best := r.cheapest(q, st, &p.Costs)
 	if chosen == nil {
 		return nil
 	}
@@ -66,6 +51,40 @@ func (r *Registry[S, R]) Plan(q Query, st Stats, gen int64) *Plan {
 	p.Reason = fmt.Sprintf("cost %.4g over %d candidate(s); rows min=%d total=%d est-results=%d head-shared=%d/%d",
 		best, len(p.Costs), minRows, totalRows, int(estResults(st)), st.HeadShared, st.HeadRows)
 	return p
+}
+
+// Cheapest names the engine Plan would choose for q under st without
+// building the plan ("" when no costed engine can serve the mode): a
+// caller deciding whether more statistics could change the choice asks
+// it first.
+func (r *Registry[S, R]) Cheapest(q Query, st Stats) string {
+	if e, _ := r.cheapest(q, st, nil); e != nil {
+		return e.Name
+	}
+	return ""
+}
+
+// cheapest returns Plan's choice and its cost, appending every
+// candidate's cost to costs when it is not nil.
+func (r *Registry[S, R]) cheapest(q Query, st Stats, costs *[]EngineCost) (chosen *Engine[S, R], best float64) {
+	want := CapComplete
+	if q.K > 0 {
+		want = CapTopK
+	}
+	best = math.Inf(1)
+	for _, e := range r.engines {
+		if e.Caps&want == 0 || e.Cost == nil {
+			continue
+		}
+		c := e.Cost(q, st)
+		if costs != nil {
+			*costs = append(*costs, EngineCost{Engine: e.Name, Cost: c})
+		}
+		if chosen == nil || c < best {
+			chosen, best = e, c
+		}
+	}
+	return chosen, best
 }
 
 // --- cost model ---

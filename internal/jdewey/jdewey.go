@@ -132,18 +132,12 @@ func (e *Encoding) Insert(parent *xmltree.Node, child *xmltree.Node, pos int) (r
 		return nil, fmt.Errorf("jdewey: Insert supports leaf children only")
 	}
 	e.Doc.InsertChild(parent, child, pos)
-	if child.Level >= len(e.levelMax) {
-		grown := make([]uint32, child.Level+1)
-		copy(grown, e.levelMax)
-		e.levelMax = grown
-	}
+	e.Reserve(child.Level, 0) // a new level gets its slot
 	e.Doc.InvalidateJDeweyIndex()
 	lo, hi := e.insertBounds(parent, child)
 	if lo+1 < hi {
 		child.JD = lo + 1
-		if child.JD > e.levelMax[child.Level] {
-			e.levelMax[child.Level] = child.JD
-		}
+		e.Reserve(child.Level, child.JD)
 		return nil, nil
 	}
 	// No reserved space left between the neighbours: re-encode the lowest
@@ -229,6 +223,17 @@ func (e *Encoding) LevelMax(level int) uint32 {
 		return 0
 	}
 	return e.levelMax[level]
+}
+
+// Reserve raises the highest number reserved at level to jd (no-op when
+// jd is not above it). A caller that numbers nodes itself — the delta
+// fold grafts nodes carrying numbers minted above LevelMax — reserves
+// them so later insertions and renumberings go above them.
+func (e *Encoding) Reserve(level int, jd uint32) {
+	if level >= len(e.levelMax) {
+		e.levelMax = append(e.levelMax, make([]uint32, level+1-len(e.levelMax))...)
+	}
+	e.levelMax[level] = max(e.levelMax[level], jd)
 }
 
 // Adopt wraps an existing (already assigned, e.g. loaded from disk) valid

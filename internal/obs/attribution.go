@@ -141,8 +141,9 @@ type StageBreakdown struct {
 }
 
 // BreakdownOf reduces a span timeline to its stage breakdown. wall is
-// the query's elapsed time (span clocks are relative to the trace
-// start, so wall bounds every interval; open spans are clamped to it).
+// the query's elapsed time, measured from the earliest top-level span's
+// start (span clocks are relative to the trace start, which may come
+// earlier); open spans are clamped to the window's end.
 //
 // The critical-path rules, all deterministic:
 //
@@ -171,9 +172,21 @@ func BreakdownOf(spans []Span, wall time.Duration) StageBreakdown {
 		}
 		kids[p] = append(kids[p], int32(i))
 	}
+	// The window opens where the first top-level span does, not at the
+	// trace clock's zero: a caller may start the trace and be descheduled
+	// before its root span opens, while wall is the query's own elapsed
+	// time. Anchored at zero, that delay would push the query's last
+	// stages past the window and book them as other.
+	var lo time.Duration
+	for i, c := range kids[n] {
+		if i == 0 || spans[c].Start < lo {
+			lo = spans[c].Start
+		}
+	}
+	hi := lo + wall
 	clamp := func(d time.Duration) time.Duration {
-		if d < 0 || d > wall {
-			return wall
+		if d < 0 || d > hi {
+			return hi
 		}
 		return d
 	}
@@ -221,7 +234,7 @@ func BreakdownOf(spans []Span, wall time.Duration) StageBreakdown {
 			acc[stage] += int64(hi - cursor)
 		}
 	}
-	walk(kids[n], 0, wall, "")
+	walk(kids[n], lo, hi, "")
 
 	bd.OtherNs = acc[""]
 	for _, st := range stageOrder {

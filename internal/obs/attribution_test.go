@@ -102,6 +102,35 @@ func TestBreakdownStraggler(t *testing.T) {
 	}
 }
 
+// TestBreakdownLateRoot: a trace whose clock started before the query's
+// root span opened (the caller was descheduled in between) reduces
+// exactly as one whose root opens at zero — the window is anchored at the
+// root, not at the clock's zero, so the query's last stages stay on it.
+func TestBreakdownLateRoot(t *testing.T) {
+	spans := []Span{
+		{Name: "topk/auto/sharded", Parent: -1, Start: 0, End: 100},
+		{Name: "shard/0", Parent: 0, Start: 10, End: 80},
+		{Name: "stage/admission", Parent: 1, Start: 10, End: 30},
+		{Name: "stage/join", Parent: 1, Start: 30, End: 80},
+		{Name: "stage/merge", Parent: 0, Start: 80, End: 95},
+	}
+	want := BreakdownOf(spans, 100)
+	const delay = 1000
+	for i := range spans {
+		spans[i].Start += delay
+		spans[i].End += delay
+	}
+	got := BreakdownOf(spans, 100)
+	if got.Dominant != StageJoin || got.OtherNs != want.OtherNs || len(got.Stages) != len(want.Stages) {
+		t.Fatalf("late root: %+v, want %+v", got, want)
+	}
+	for i := range want.Stages {
+		if got.Stages[i] != want.Stages[i] {
+			t.Fatalf("late root: stage %d = %+v, want %+v", i, got.Stages[i], want.Stages[i])
+		}
+	}
+}
+
 // TestBreakdownZeroWall: a zero-duration trace reduces to the empty
 // breakdown instead of dividing by zero.
 func TestBreakdownZeroWall(t *testing.T) {

@@ -90,16 +90,24 @@ func (m *Map) UpdateTerms(doc *xmltree.Document, terms map[string]bool) {
 		m.Depth = doc.Depth
 		return
 	}
+	// Counted in place, without a per-node term map: a term's last
+	// occurrence is the current node's whenever it repeats within it.
 	fresh := make(map[string][]Occ, len(terms))
 	for _, n := range doc.Nodes {
 		if n.Text == "" {
 			continue
 		}
-		for term, tf := range tokenize.TermCounts(n.Text) {
-			if terms[term] {
-				fresh[term] = append(fresh[term], Occ{Node: n, TF: tf})
+		tokenize.Each(n.Text, func(term string) {
+			if !terms[term] {
+				return
 			}
-		}
+			occs := fresh[term]
+			if k := len(occs); k > 0 && occs[k-1].Node == n {
+				occs[k-1].TF++
+				return
+			}
+			fresh[term] = append(occs, Occ{Node: n, TF: 1})
+		})
 	}
 	for term := range terms {
 		occs := fresh[term]

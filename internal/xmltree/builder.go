@@ -91,10 +91,8 @@ func (d *Document) InsertChild(parent *Node, child *Node, pos int) {
 // the derived tables. Removing the root empties the document.
 func (d *Document) RemoveNode(n *Node) {
 	if n.Parent == nil {
-		d.Root = nil
-		d.Nodes = nil
-		d.Depth = 0
-		d.byLevel = nil
+		d.Root, d.Nodes = nil, nil
+		d.freeze()
 		return
 	}
 	p := n.Parent

@@ -13,6 +13,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,6 +76,9 @@ func (d *Document) Len() int { return len(d.Nodes) }
 
 // freeze recomputes the derived per-document tables (preorder list, Dewey
 // ids, levels, ordinals, depth). It must be called after structural changes.
+// The Dewey ids are carved from one backing slice sized by a first pass,
+// each capped at its length so that appending to one (a child's id is its
+// parent's plus one component) copies instead of overwriting a neighbour.
 func (d *Document) freeze() {
 	d.Nodes = d.Nodes[:0]
 	d.Depth = 0
@@ -82,23 +86,38 @@ func (d *Document) freeze() {
 	d.byLevel = nil
 	d.jdIndex = nil
 	d.lazyMu.Unlock()
-	var walk func(n *Node, id dewey.ID, level int)
-	walk = func(n *Node, id dewey.ID, level int) {
-		n.Dewey = id.Clone()
+	if d.Root == nil {
+		return
+	}
+	count, total := 0, 0
+	var size func(n *Node, level int)
+	size = func(n *Node, level int) {
+		count, total = count+1, total+level
+		for _, c := range n.Children {
+			size(c, level+1)
+		}
+	}
+	size(d.Root, 1)
+	d.Nodes = slices.Grow(d.Nodes, count)
+	ids := make(dewey.ID, total)
+	var walk func(n *Node, parent dewey.ID, pos uint32)
+	walk = func(n *Node, parent dewey.ID, pos uint32) {
+		level := len(parent) + 1
+		id := ids[:level:level]
+		ids = ids[level:]
+		copy(id, parent)
+		id[level-1] = pos
+		n.Dewey = id
 		n.Level = level
 		n.Ord = len(d.Nodes)
 		d.Nodes = append(d.Nodes, n)
-		if level > d.Depth {
-			d.Depth = level
-		}
+		d.Depth = max(d.Depth, level)
 		for i, c := range n.Children {
 			c.Parent = n
-			walk(c, append(id, uint32(i+1)), level+1)
+			walk(c, id, uint32(i+1))
 		}
 	}
-	if d.Root != nil {
-		walk(d.Root, dewey.ID{1}, 1)
-	}
+	walk(d.Root, nil, 1)
 }
 
 // NodesAtLevel returns the nodes at the given 1-based level in document

@@ -249,3 +249,57 @@ func TestNodesAtLevel(t *testing.T) {
 		t.Error("out-of-range level must return nil")
 	}
 }
+
+// TestRemoveRootClearsLookups: removing the root empties every derived
+// table, the JDewey lookup included, so a lookup built before the removal
+// cannot hand out a detached node.
+func TestRemoveRootClearsLookups(t *testing.T) {
+	doc := NewBuilder().Open("r").Leaf("a", "one").Leaf("b", "two").Close().Doc()
+	for _, n := range doc.Nodes {
+		n.JD = uint32(n.Ord + 1)
+	}
+	if doc.NodeByJDewey(1, 1) != doc.Root || doc.MaxJDeweyNode(2) == nil || len(doc.NodesAtLevel(2)) != 2 {
+		t.Fatal("lookups before the removal are wrong")
+	}
+	doc.RemoveNode(doc.Root)
+	if n := doc.NodeByJDewey(1, 1); n != nil {
+		t.Fatalf("NodeByJDewey after removing the root = %v, want nil", n.Dewey)
+	}
+	if doc.MaxJDeweyNode(2) != nil || doc.NodesAtLevel(2) != nil || doc.Depth != 0 {
+		t.Fatal("derived tables survived the root's removal")
+	}
+}
+
+// TestCloneAllocsPerNode: a clone allocates each node and each child list
+// once; refreshing the derived tables adds a constant number of
+// allocations (the Dewey ids are carved from one backing slice), not one
+// per node.
+func TestCloneAllocsPerNode(t *testing.T) {
+	b := NewBuilder().Open("root")
+	for i := 0; i < 200; i++ {
+		b.Open("mid")
+		for j := 0; j < 4; j++ {
+			b.Leaf("leaf", "x")
+		}
+		b.Close()
+	}
+	doc := b.Close().Doc()
+	inner := 0
+	for _, n := range doc.Nodes {
+		if len(n.Children) > 0 {
+			inner++
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() { doc.Clone() })
+	t.Logf("Clone of %d nodes: %.0f allocations", doc.Len(), allocs)
+	if limit := float64(doc.Len() + inner + 8); allocs > limit {
+		t.Fatalf("Clone of %d nodes (%d inner) made %.0f allocations, want at most %.0f", doc.Len(), inner, allocs, limit)
+	}
+	// The carved ids stay independent: growing one never writes another.
+	c := doc.Clone()
+	a, n := c.Root.Children[0].Children[0], c.Root.Children[0].Children[1]
+	grown := append(a.Dewey, 9)
+	if n.Dewey.String() != "1.1.2" || grown.String() != "1.1.1.9" {
+		t.Fatalf("appending to a carved id gave %s and left its neighbour %s", grown, n.Dewey)
+	}
+}

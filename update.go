@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/dewey"
 	"repro/internal/jdewey"
 	"repro/internal/occur"
@@ -22,18 +23,21 @@ import (
 // is recorded in a small immutable delta segment layered over the base
 // snapshot instead of cloning the corpus. Removals, non-append inserts,
 // gap-exhausted inserts, and ElemRank indexes take the materializing slow
-// path, which folds the delta and clones the document the classic way.
+// path: it folds the delta into a clone of the document (one tree refresh,
+// whatever the delta's length; see foldTree), runs the caller's own
+// operations through the JDewey maintenance path, and rebuilds the
+// delta's and the operations' dirty lists in one pass.
 //
 // There is one write path (DESIGN.md §18). applyTo is the only place an
 // operation is validated against a snapshot and applied — fast chain
 // first, otherwise materialize once and run the slow loop — and commit is
 // the only place a writer locks, logs, publishes, triggers compaction and
 // books the writer metrics. InsertElement, RemoveElement and ApplyBatch are
-// wrappers over commit (a single operation is a batch of one); WAL replay,
-// the delta fold and the compactor's rebase reuse applyTo's halves without
-// a commit. Either way the batch is appended (and fsynced) to the
-// write-ahead log before it publishes when one is attached (see
-// walindex.go), so an acknowledged mutation survives a crash.
+// wrappers over commit (a single operation is a batch of one); WAL replay
+// and the compactor's rebase reuse applyTo's halves without a commit.
+// Either way the batch is appended (and fsynced) to the write-ahead log
+// before it publishes when one is attached (see walindex.go), so an
+// acknowledged mutation survives a crash.
 //
 // Concurrency: mutations are snapshot-isolated from queries. A writer
 // serializes against other writers (writeMu), builds the successor
@@ -154,8 +158,9 @@ func countOps(muts []Mutation) (inserts, removes int) {
 // cur untouched; it is the only place an operation is validated against a
 // snapshot and applied. The all-fast delta chain is tried first; any
 // removal or ineligible insert sends the whole batch through the
-// materializing path instead: fold cur once, run the slow loop, rebuild
-// the dirty lists (and, with ElemRank, re-rank) once. ids carries each
+// materializing path instead: fold cur's tree once, run the slow loop,
+// rebuild the fold's and the batch's dirty lists (and, with ElemRank,
+// re-rank) once. ids carries each
 // insert's new Dewey identifier, dirty the number of list rebuilds, and
 // renumbered whether a gap-exhausted subtree was re-encoded. The first
 // invalid operation fails the batch with nothing built.
@@ -163,8 +168,8 @@ func (ix *Index) applyTo(cur *snapshot, muts []Mutation) (next *snapshot, ids []
 	if next, ids, dirty, err = ix.fastChain(cur, muts); next != nil || err != nil {
 		return next, ids, dirty, false, err
 	}
-	next = ix.materializeOf(cur)
-	if ids, dirty, renumbered, err = ix.applySlow(next, muts); err != nil {
+	next, stale := foldTree(cur)
+	if ids, dirty, renumbered, err = ix.applySlow(next, muts, stale); err != nil {
 		return nil, nil, 0, false, err
 	}
 	next.epoch = ix.epochs.Add(1)
@@ -207,35 +212,58 @@ func (s *snapshot) resolve(m Mutation) (*xmltree.Node, error) {
 }
 
 // fastChain applies muts as successive delta appends, each building a
-// private successor segment over cur's base. It returns a nil snapshot
-// (and no error) as soon as one operation is not an eligible append — the
-// chain built so far is simply dropped — and the error of the first
-// invalid operation it meets. An empty muts returns cur itself.
+// private successor segment over cur's base. Then, once per list the chain
+// changed, it rescores the list against its new document frequency (the
+// corpus constant N, from the store, stays frozen exactly as on the slow
+// path) and builds the column overlay over cur's store (cur's overlay, if
+// any, lends the other dirty terms' lists). Each changed list is a fresh
+// copy the chain made, so rescoring it in place disturbs no pinned
+// reader. It returns a nil snapshot (and no error) as soon as one
+// operation is not an eligible append — the chain built so far is simply
+// dropped — and the error of the first invalid operation it meets. An
+// empty muts returns cur itself.
 func (ix *Index) fastChain(cur *snapshot, muts []Mutation) (next *snapshot, ids []string, dirty int, err error) {
 	ids = make([]string, len(muts))
+	touched := map[string][]occur.Occ{}
+	next = cur
 	for i, m := range muts {
 		if m.Remove {
 			return nil, nil, 0, nil
 		}
-		parent, err := cur.resolve(m)
+		parent, err := next.resolve(m)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		ns, child, rebuilt := ix.fastInsert(cur, parent, m)
+		ns, child, terms := ix.fastInsert(next, parent, m)
 		if ns == nil {
 			return nil, nil, 0, nil
 		}
-		cur, ids[i], dirty = ns, child.Dewey.String(), dirty+rebuilt
+		for t := range terms {
+			touched[t] = nil
+		}
+		next, ids[i] = ns, child.Dewey.String()
 	}
-	return cur, ids, dirty, nil
+	if next != cur {
+		n := cur.baseStore().N
+		for t := range touched {
+			occs := next.delta.terms[t]
+			for i := range occs {
+				occs[i].Score = float32(score.Local(occs[i].TF, len(occs), n))
+			}
+			touched[t] = occs
+		}
+		next.store = colstore.NewOverlay(&occur.Map{Terms: touched, N: n, Depth: next.delta.depth}, cur.store)
+	}
+	return next, ids, len(touched), nil
 }
 
-// applySlow runs muts in order against next — a private, delta-free
-// snapshot — through the real JDewey maintenance path, then rebuilds every
-// dirty list once. On error next is left half-applied and must be dropped.
-func (ix *Index) applySlow(next *snapshot, muts []Mutation) (ids []string, dirtyN int, renumbered bool, err error) {
+// applySlow runs the caller's muts in order against next — a private,
+// delta-free snapshot — through the real JDewey maintenance path (one tree
+// refresh per operation), then rebuilds every dirty list once: the terms
+// the batch touched and those already stale in next (a fold's, from
+// foldTree). On error next is left half-applied and must be dropped.
+func (ix *Index) applySlow(next *snapshot, muts []Mutation, dirty map[string]bool) (ids []string, dirtyN int, renumbered bool, err error) {
 	ids = make([]string, len(muts))
-	dirty := map[string]bool{}
 	for i, m := range muts {
 		n, err := next.resolve(m)
 		if err != nil {

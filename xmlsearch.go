@@ -682,10 +682,12 @@ func loadGen(g *colstore.Gen) (*Index, error) {
 }
 
 // attachWAL completes a Load on a WAL-enabled directory: recover the
-// committed generation's log, re-apply its acknowledged records through
-// applyTo — one publish per record, nothing logged (the records are
-// already in the log), nothing compacted, nothing booked as a live write —
-// and attach the open log so subsequent mutations append to it. The index
+// committed generation's log, re-apply its acknowledged records — nothing
+// logged (the records are already in the log), nothing compacted, nothing
+// booked as a live write — and attach the open log so subsequent
+// mutations append to it. A log of fast appends replays as one chain with
+// one publish (fastChain); any other log replays through applyTo, one
+// publish per record. The index
 // is not shared yet, so no lock is needed until the attach. A directory
 // without wal.<gen> is a plain snapshot directory and loads unchanged. The
 // loaded base plus the replayed records reconstructs exactly the
@@ -705,17 +707,25 @@ func (ix *Index) attachWAL(g *colstore.Gen) error {
 	if err != nil {
 		return fmt.Errorf("xmlsearch: load: %w", err)
 	}
+	muts := make([]Mutation, len(res.Records))
 	for i, rec := range res.Records {
-		mut, derr := decodeMutationRecord(rec)
-		if derr == nil {
-			var next *snapshot
-			if next, _, _, _, derr = ix.applyTo(ix.view(), []Mutation{mut}); derr == nil {
-				ix.publish(next)
-			}
-		}
-		if derr != nil {
+		if muts[i], err = decodeMutationRecord(rec); err != nil {
 			log.Close()
-			return fmt.Errorf("xmlsearch: load: wal replay record %d: %w", i, derr)
+			return fmt.Errorf("xmlsearch: load: wal replay record %d: %w", i, err)
+		}
+	}
+	if next, _, _, _ := ix.fastChain(ix.view(), muts); next != nil {
+		if next != ix.view() {
+			ix.publish(next)
+		}
+	} else {
+		for i, mut := range muts {
+			next, _, _, _, err := ix.applyTo(ix.view(), []Mutation{mut})
+			if err != nil {
+				log.Close()
+				return fmt.Errorf("xmlsearch: load: wal replay record %d: %w", i, err)
+			}
+			ix.publish(next)
 		}
 	}
 	ix.metrics.WAL.RecordReplay(len(res.Records), res.QuarantinedBytes)
