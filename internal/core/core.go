@@ -8,11 +8,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"math"
-	"sort"
-
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/colstore"
@@ -210,21 +212,43 @@ type evaluator struct {
 	err     error // sticky ctx.Err() once cancellation is observed
 	ops     int
 	lists   []colstore.Source
-	erased  []*eraseSet
+	erased  []eraseSet
 	curCols []*colstore.Column // columns of the level being processed
 	opt     Options
 	decay   float64
+	pow     []float64 // pow[d] = math.Pow(decay, d) for every depth gap d a row can have
+
+	// Buffers reused from level to level: the join's intermediate matches
+	// and the k-wide run-index arena their runs slices are carved from.
+	cur   []match
+	arena []int32
 
 	lastPlan string // previous dynamic join choice, for plan-switch events
 }
 
 func newEvaluator(ctx context.Context, lists []colstore.Source, opt Options) *evaluator {
 	e := &evaluator{ctx: ctx, lists: lists, opt: opt, decay: opt.decay()}
-	e.erased = make([]*eraseSet, len(lists))
+	maxLevel := 0
+	e.erased = make([]eraseSet, len(lists))
 	for i, l := range lists {
 		e.erased[i] = newEraseSet(l.Rows())
+		maxLevel = max(maxLevel, l.MaxLevel())
 	}
+	e.pow = make([]float64, maxLevel)
+	for d := range e.pow {
+		e.pow[d] = math.Pow(e.decay, float64(d))
+	}
+	e.curCols = make([]*colstore.Column, len(lists))
 	return e
+}
+
+// damp returns the damping factor decay^d, from the table when d is in
+// its range (always, for well-formed lists).
+func (e *evaluator) damp(d int) float64 {
+	if d >= 0 && d < len(e.pow) {
+		return e.pow[d]
+	}
+	return math.Pow(e.decay, float64(d))
 }
 
 // tick accounts one unit of inner-loop work and reports whether the
@@ -254,21 +278,25 @@ type match struct {
 // semantic pruning to each contains-all value found.
 func (e *evaluator) processLevel(lev int, results []Result, st *Stats) []Result {
 	k := len(e.lists)
-	cols := make([]*colstore.Column, k)
+	cols := e.curCols
 	for i, l := range e.lists {
 		cols[i] = l.Col(lev)
 		if cols[i] == nil || len(cols[i].Runs) == 0 {
 			return results
 		}
 	}
-	e.curCols = cols
-	// Left-deep join chain seeded by the shortest list's column.
-	cur := make([]match, 0, len(cols[0].Runs))
+	// Left-deep join chain seeded by the shortest list's column. Every
+	// seed's runs slice is a k-wide window of one arena, so the joins
+	// append into it without allocating.
+	seeds := len(cols[0].Runs)
+	e.arena = slices.Grow(e.arena[:0], seeds*k)[:seeds*k]
+	cur := slices.Grow(e.cur[:0], seeds)
 	for ri := range cols[0].Runs {
-		m := match{value: cols[0].Runs[ri].Value, runs: make([]int32, 1, k)}
-		m.runs[0] = int32(ri)
-		cur = append(cur, m)
+		runs := e.arena[ri*k : ri*k+1 : ri*k+k]
+		runs[0] = int32(ri)
+		cur = append(cur, match{value: cols[0].Runs[ri].Value, runs: runs})
 	}
+	e.cur = cur // the joins filter in place, so this keeps the backing array
 	for j := 1; j < k && len(cur) > 0; j++ {
 		useIndex := false
 		switch e.opt.Plan {
@@ -376,23 +404,13 @@ func (e *evaluator) mergeJoin(cur []match, col *colstore.Column, st *Stats) []ma
 func (e *evaluator) applyMatch(lev int, m match) (Result, bool) {
 	k := len(e.lists)
 	output := true
-	switch e.opt.Semantics {
-	case ELCA:
-		for i := 0; i < k; i++ {
-			run := e.curCols[i].Runs[m.runs[i]]
-			er := e.erased[i].erasedInRange(run.Row, run.Row+run.Count)
-			if er >= int(run.Count) {
-				output = false
-				break
-			}
-		}
-	case SLCA:
-		for i := 0; i < k; i++ {
-			run := e.curCols[i].Runs[m.runs[i]]
-			if e.erased[i].erasedInRange(run.Row, run.Row+run.Count) > 0 {
-				output = false
-				break
-			}
+	for i := 0; i < k && output; i++ {
+		run := e.curCols[i].Runs[m.runs[i]]
+		switch e.opt.Semantics {
+		case ELCA:
+			output = e.erased[i].someUnerased(run.Row, run.Row+run.Count)
+		case SLCA:
+			output = !e.erased[i].anyErased(run.Row, run.Row+run.Count)
 		}
 	}
 	var total float64
@@ -405,9 +423,7 @@ func (e *evaluator) applyMatch(lev int, m match) (Result, bool) {
 	// Erase all rows under N in every list, regardless of output.
 	for i := 0; i < k; i++ {
 		run := e.curCols[i].Runs[m.runs[i]]
-		for row := run.Row; row < run.Row+run.Count; row++ {
-			e.erased[i].erase(row)
-		}
+		e.erased[i].eraseRange(run.Row, run.Row+run.Count)
 	}
 	if !output {
 		return Result{}, false
@@ -417,20 +433,32 @@ func (e *evaluator) applyMatch(lev int, m match) (Result, bool) {
 
 // bestWitness returns the maximum damped local score among the non-erased
 // rows of the run: the per-keyword input I_i = max g(v, w_i) * d(l_i - l̃)
-// of the ranking function.
+// of the ranking function. It walks the run's erase bitset a word at a
+// time, visiting only the unerased rows.
 func (e *evaluator) bestWitness(i int, run colstore.Run, lev int) float64 {
-	l := e.lists[i]
+	l, er := e.lists[i], e.erased[i]
 	best := 0.0
-	for row := run.Row; row < run.Row+run.Count; row++ {
-		if e.tick() {
-			return best
+	if run.Count == 0 {
+		return best
+	}
+	w0, w1, m0, m1 := span(run.Row, run.Row+run.Count)
+	for w := w0; w <= w1; w++ {
+		live := ^er[w]
+		if w == w0 {
+			live &= m0
 		}
-		if e.erased[i].isErased(row) {
-			continue
+		if w == w1 {
+			live &= m1
 		}
-		s := float64(l.RowScore(row)) * math.Pow(e.decay, float64(l.RowLen(row)-lev))
-		if s > best {
-			best = s
+		for ; live != 0; live &= live - 1 {
+			if e.tick() {
+				return best
+			}
+			row := w*64 + uint32(bits.TrailingZeros64(live))
+			s := float64(l.RowScore(row)) * e.damp(l.RowLen(row)-lev)
+			if s > best {
+				best = s
+			}
 		}
 	}
 	return best
@@ -439,12 +467,13 @@ func (e *evaluator) bestWitness(i int, run colstore.Run, lev int) float64 {
 // SortByScore orders results by the canonical exec.Compare ordering
 // (descending score, deeper levels first), breaking full ties by JDewey
 // number — the deterministic order the top-K engines and the experiments
-// use.
+// use. (score, level, value) is a total order over distinct results, so
+// the sort need not be stable.
 func SortByScore(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if c := exec.Compare(rs[i].Score, rs[j].Score, rs[i].Level, rs[j].Level); c != 0 {
-			return c < 0
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := exec.Compare(a.Score, b.Score, a.Level, b.Level); c != 0 {
+			return c
 		}
-		return rs[i].Value < rs[j].Value
+		return cmp.Compare(a.Value, b.Value)
 	})
 }

@@ -282,6 +282,25 @@ func TestCrossEngineEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// TestMultiWordRunsMatchOracle compares against the oracle on documents
+// whose lists hold thousands of rows over a small vocabulary, so upper-level
+// runs span many 64-row words of the erase bitset and pruning checks and
+// witness scans cross word boundaries.
+func TestMultiWordRunsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	params := testutil.MediumParams()
+	params.MaxNodes, params.Vocab, params.TextChance = 4000, testutil.Vocab(4), 0.9
+	for trial := 0; trial < 12; trial++ {
+		e := newEnv(testutil.RandomDoc(rng, params))
+		for _, k := range []int{2, 3} {
+			q := testutil.RandomQuery(rng, params.Vocab, k)
+			for _, sem := range []Semantics{ELCA, SLCA} {
+				assertMatchesOracle(t, e, q, sem, PlanAuto)
+			}
+		}
+	}
+}
+
 // TestPlansAgree verifies that all three join plans produce identical
 // output on the same inputs (they must differ only in cost).
 func TestPlansAgree(t *testing.T) {

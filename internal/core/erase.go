@@ -1,53 +1,62 @@
 package core
 
 // eraseSet tracks which rows of one inverted list have been erased by the
-// semantic pruning (Section III-B/III-E). Rows sharing a column value are
-// contiguous, so the pruning queries are range queries: "how many rows of
-// this run are erased" decides ELCA output (|A_k| > Σ|B_i|) and "is any row
-// of this run erased" decides SLCA output. A Fenwick tree over erased
-// counts answers both in O(log n); each row is erased at most once over the
-// whole evaluation, so total maintenance is O(n log n).
-type eraseSet struct {
-	bits []uint64
-	tree []int32 // Fenwick tree, 1-based
-}
+// semantic pruning (Section III-B/III-E), one bit per row. Rows sharing a
+// column value are contiguous (Property 3.1), so every erasure and every
+// pruning check is over a whole run: "is some row of this run unerased"
+// decides ELCA output (|A_k| > Σ|B_i|) and "is any row of this run erased"
+// decides SLCA output. Each is answered a 64-row word at a time, so a run
+// of c rows costs O(c/64 + 1).
+type eraseSet []uint64
 
-func newEraseSet(n int) *eraseSet {
-	return &eraseSet{
-		bits: make([]uint64, (n+63)/64),
-		tree: make([]int32, n+1),
+func newEraseSet(n int) eraseSet { return make(eraseSet, (n+63)/64) }
+
+// span returns the first and last word of the non-empty row range [lo, hi)
+// and the masks selecting its rows within those two words.
+func span(lo, hi uint32) (w0, w1 uint32, m0, m1 uint64) {
+	w0, w1 = lo/64, (hi-1)/64
+	m0 = ^uint64(0) << (lo % 64)
+	m1 = ^uint64(0) >> (63 - (hi-1)%64)
+	if w0 == w1 {
+		m0 &= m1
+		m1 = m0
 	}
+	return w0, w1, m0, m1
 }
 
-func (e *eraseSet) isErased(row uint32) bool {
-	return e.bits[row/64]&(1<<(row%64)) != 0
+// eraseRange marks every row of [lo, hi).
+func (e eraseSet) eraseRange(lo, hi uint32) {
+	if hi <= lo {
+		return
+	}
+	w0, w1, m0, m1 := span(lo, hi)
+	e[w0] |= m0
+	for w := w0 + 1; w < w1; w++ {
+		e[w] = ^uint64(0)
+	}
+	e[w1] |= m1
 }
 
-// erase marks a row and reports whether it was newly erased.
-func (e *eraseSet) erase(row uint32) bool {
-	w, b := row/64, uint64(1)<<(row%64)
-	if e.bits[w]&b != 0 {
+// someUnerased reports whether any row of [lo, hi) is still unerased.
+func (e eraseSet) someUnerased(lo, hi uint32) bool { return e.anyBit(lo, hi, ^uint64(0)) }
+
+// anyErased reports whether any row of [lo, hi) is erased.
+func (e eraseSet) anyErased(lo, hi uint32) bool { return e.anyBit(lo, hi, 0) }
+
+// anyBit reports whether any row of [lo, hi) has its bit set once XORed
+// with flip, skipping to the first hit a word at a time.
+func (e eraseSet) anyBit(lo, hi uint32, flip uint64) bool {
+	if hi <= lo {
 		return false
 	}
-	e.bits[w] |= b
-	for i := int(row) + 1; i < len(e.tree); i += i & -i {
-		e.tree[i]++
+	w0, w1, m0, m1 := span(lo, hi)
+	if (e[w0]^flip)&m0 != 0 || (e[w1]^flip)&m1 != 0 {
+		return true
 	}
-	return true
-}
-
-func (e *eraseSet) prefix(n int) int {
-	s := 0
-	for i := n; i > 0; i -= i & -i {
-		s += int(e.tree[i])
+	for w := w0 + 1; w < w1; w++ {
+		if e[w]^flip != 0 {
+			return true
+		}
 	}
-	return s
-}
-
-// erasedInRange returns the number of erased rows in [lo, hi).
-func (e *eraseSet) erasedInRange(lo, hi uint32) int {
-	if hi <= lo {
-		return 0
-	}
-	return e.prefix(int(hi)) - e.prefix(int(lo))
+	return false
 }

@@ -90,19 +90,18 @@ func CommonPrefixLen(a, b ID) int {
 }
 
 // String formats the ID in the dotted notation used by the paper, e.g.
-// "1.1.2.3".
+// "1.1.2.3". The digits are formatted into a stack buffer, so the string
+// is the one allocation.
 func (d ID) String() string {
-	if len(d) == 0 {
-		return ""
-	}
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, c := range d {
 		if i > 0 {
-			sb.WriteByte('.')
+			b = append(b, '.')
 		}
-		sb.WriteString(strconv.FormatUint(uint64(c), 10))
+		b = strconv.AppendUint(b, uint64(c), 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Parse parses the dotted notation produced by String.

@@ -10,13 +10,14 @@
 package xmltree
 
 import (
+	"cmp"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dewey"
 )
@@ -48,16 +49,25 @@ func (n *Node) JDeweySeq() []uint32 {
 	return seq
 }
 
-// Path returns the slash-separated tag path from the root to the node.
+// Path returns the slash-separated tag path from the root to the node,
+// built in one allocation of its exact length.
 func (n *Node) Path() string {
-	var tags []string
+	size := 0
 	for v := n; v != nil; v = v.Parent {
-		tags = append(tags, v.Tag)
+		size += 1 + len(v.Tag)
 	}
-	for i, j := 0, len(tags)-1; i < j; i, j = i+1, j-1 {
-		tags[i], tags[j] = tags[j], tags[i]
+	var b strings.Builder
+	b.Grow(size)
+	n.writePath(&b)
+	return b.String()
+}
+
+func (n *Node) writePath(b *strings.Builder) {
+	if n.Parent != nil {
+		n.Parent.writePath(b)
 	}
-	return "/" + strings.Join(tags, "/")
+	b.WriteByte('/')
+	b.WriteString(n.Tag)
 }
 
 // Document is a parsed or generated XML document.
@@ -66,9 +76,31 @@ type Document struct {
 	Nodes []*Node // preorder
 	Depth int     // maximum level
 
-	lazyMu  sync.Mutex // guards the lazy builds of byLevel and jdIndex
+	lazyMu  sync.Mutex // guards the lazy builds of byLevel and the JDewey table
 	byLevel [][]*Node  // filled lazily by NodesAtLevel
-	jdIndex [][]*Node  // per level, sorted by JDewey number; lazily built
+	// jd is the JDewey lookup table, built lazily under lazyMu and read
+	// without a lock; nil until first use and after every invalidation.
+	jd atomic.Pointer[jdTable]
+}
+
+// jdTable is an immutable per-level JDewey lookup table. The nodes of
+// level l are nodes[off[l]:off[l+1]], sorted by JDewey number, and
+// keys[i] is nodes[i].JD as of the build, so a lookup binary-searches
+// contiguous keys without dereferencing nodes.
+type jdTable struct {
+	off   []int // len Depth+2
+	keys  []uint32
+	nodes []*Node
+}
+
+// level returns the keys and nodes of a 1-based level (empty when out of
+// range).
+func (t *jdTable) level(l int) ([]uint32, []*Node) {
+	if l < 1 || l >= len(t.off)-1 {
+		return nil, nil
+	}
+	lo, hi := t.off[l], t.off[l+1]
+	return t.keys[lo:hi], t.nodes[lo:hi]
 }
 
 // Len returns the number of element nodes in the document.
@@ -84,7 +116,7 @@ func (d *Document) freeze() {
 	d.Depth = 0
 	d.lazyMu.Lock()
 	d.byLevel = nil
-	d.jdIndex = nil
+	d.jd.Store(nil)
 	d.lazyMu.Unlock()
 	if d.Root == nil {
 		return
@@ -148,40 +180,13 @@ func (d *Document) nodesAtLevelLocked(level int) []*Node {
 // of document order (gap insertions, subtree renumbering), so the table is
 // maintained separately from the document-order one and must be
 // invalidated by whoever renumbers nodes (see InvalidateJDeweyIndex).
+// Once the table is built a lookup takes no lock.
 func (d *Document) NodeByJDewey(level int, jd uint32) *Node {
-	d.lazyMu.Lock()
-	d.buildJDIndexLocked()
-	if level < 1 || level >= len(d.jdIndex) {
-		d.lazyMu.Unlock()
-		return nil
-	}
-	nodes := d.jdIndex[level]
-	d.lazyMu.Unlock()
-	lo, hi := 0, len(nodes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nodes[mid].JD < jd {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(nodes) && nodes[lo].JD == jd {
-		return nodes[lo]
+	keys, nodes := d.jdTable().level(level)
+	if i, ok := slices.BinarySearch(keys, jd); ok {
+		return nodes[i]
 	}
 	return nil
-}
-
-func (d *Document) buildJDIndexLocked() {
-	if d.jdIndex != nil {
-		return
-	}
-	d.jdIndex = make([][]*Node, d.Depth+1)
-	for l := 1; l <= d.Depth; l++ {
-		nodes := append([]*Node(nil), d.nodesAtLevelLocked(l)...)
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].JD < nodes[j].JD })
-		d.jdIndex[l] = nodes
-	}
 }
 
 // MaxJDeweyNode returns the node carrying the highest JDewey number at the
@@ -189,21 +194,53 @@ func (d *Document) buildJDIndexLocked() {
 // lazily built per-level table; the delta write path uses it to bound
 // append eligibility without scanning the level.
 func (d *Document) MaxJDeweyNode(level int) *Node {
+	if _, nodes := d.jdTable().level(level); len(nodes) > 0 {
+		return nodes[len(nodes)-1]
+	}
+	return nil
+}
+
+// jdTable returns the published JDewey table, building it on first use.
+func (d *Document) jdTable() *jdTable {
+	if t := d.jd.Load(); t != nil {
+		return t
+	}
 	d.lazyMu.Lock()
 	defer d.lazyMu.Unlock()
-	d.buildJDIndexLocked()
-	if level < 1 || level >= len(d.jdIndex) || len(d.jdIndex[level]) == 0 {
-		return nil
+	if t := d.jd.Load(); t != nil {
+		return t
 	}
-	nodes := d.jdIndex[level]
-	return nodes[len(nodes)-1]
+	t := d.buildJDTable()
+	d.jd.Store(t)
+	return t
+}
+
+// buildJDTable lays the levels out one after another, each sorted by
+// JDewey number; a level is in that order already (document order) unless
+// incremental maintenance renumbered it. The caller holds lazyMu.
+func (d *Document) buildJDTable() *jdTable {
+	t := &jdTable{off: make([]int, 2, d.Depth+2), nodes: make([]*Node, 0, len(d.Nodes))}
+	byJD := func(a, b *Node) int { return cmp.Compare(a.JD, b.JD) }
+	for l := 1; l <= d.Depth; l++ {
+		start := len(t.nodes)
+		t.nodes = append(t.nodes, d.nodesAtLevelLocked(l)...)
+		if lv := t.nodes[start:]; !slices.IsSortedFunc(lv, byJD) {
+			slices.SortStableFunc(lv, byJD)
+		}
+		t.off = append(t.off, len(t.nodes))
+	}
+	t.keys = make([]uint32, len(t.nodes))
+	for i, n := range t.nodes {
+		t.keys[i] = n.JD
+	}
+	return t
 }
 
 // InvalidateJDeweyIndex drops the JDewey lookup table; package jdewey
 // calls it whenever node numbers change without a structural refresh.
 func (d *Document) InvalidateJDeweyIndex() {
 	d.lazyMu.Lock()
-	d.jdIndex = nil
+	d.jd.Store(nil)
 	d.lazyMu.Unlock()
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dewey"
@@ -301,5 +303,115 @@ func TestCloneAllocsPerNode(t *testing.T) {
 	grown := append(a.Dewey, 9)
 	if n.Dewey.String() != "1.1.2" || grown.String() != "1.1.1.9" {
 		t.Fatalf("appending to a carved id gave %s and left its neighbour %s", grown, n.Dewey)
+	}
+}
+
+// TestPathAndDeweyStringAllocateOnce: materialising a result's path and
+// Dewey id each cost one allocation of the exact length, and a lookup in
+// a built JDewey table costs none.
+func TestPathAndDeweyStringAllocateOnce(t *testing.T) {
+	doc := NewBuilder().Open("dblp").Open("conf").Open("paper").Open("authors").
+		Leaf("author", "chen").Close().Close().Close().Close().Doc()
+	n := doc.Nodes[len(doc.Nodes)-1]
+	n.Dewey[4] = 12345 // a multi-digit component
+	if n.Level != 5 || n.Path() != "/dblp/conf/paper/authors/author" || n.Dewey.String() != "1.1.1.1.12345" {
+		t.Fatalf("depth-5 node: level %d, path %q, dewey %q", n.Level, n.Path(), n.Dewey.String())
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = n.Path() }); a != 1 {
+		t.Errorf("Node.Path allocations = %v, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = n.Dewey.String() }); a != 1 {
+		t.Errorf("dewey.ID.String allocations = %v, want 1", a)
+	}
+	for i, v := range doc.Nodes {
+		v.JD = uint32(i + 1)
+	}
+	doc.NodeByJDewey(5, n.JD) // build the table
+	if a := testing.AllocsPerRun(100, func() { _ = doc.NodeByJDewey(5, n.JD) }); a != 0 {
+		t.Errorf("NodeByJDewey allocations = %v, want 0", a)
+	}
+}
+
+// TestJDeweyLookupRace: readers look nodes up by JDewey number while one
+// goroutine drops the table in a loop and another renumbers every node
+// (reversing document order on alternate rounds, so a rebuilt level must
+// be sorted). A renumbering holds the readers off while it writes the
+// numbers, as the copy-on-write write path does by publishing a new
+// snapshot; invalidation and the lazy rebuilds race the readers freely.
+// Every lookup returns nil or a node carrying the key, and MaxJDeweyNode
+// the level's highest number.
+func TestJDeweyLookupRace(t *testing.T) {
+	b := NewBuilder().Open("r")
+	for i := 0; i < 40; i++ {
+		b.Open("a")
+		for j := 0; j < 3; j++ {
+			b.Open("b").Leaf("c", "x").Close()
+		}
+		b.Close()
+	}
+	doc := b.Close().Doc()
+	var mu sync.RWMutex
+	renumber := func(round int) {
+		for l := 1; l <= doc.Depth; l++ {
+			nodes := doc.NodesAtLevel(l)
+			for i, n := range nodes {
+				pos := i
+				if round%2 == 1 {
+					pos = len(nodes) - 1 - i
+				}
+				n.JD = uint32(round*1000 + pos + 1)
+			}
+		}
+		doc.InvalidateJDeweyIndex()
+	}
+	renumber(0)
+	var (
+		wg    sync.WaitGroup
+		stop  atomic.Bool
+		fails atomic.Int64
+	)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 3000; i++ {
+				mu.RLock()
+				level := 1 + rng.Intn(doc.Depth+1)
+				base := doc.Root.JD - 1
+				key := base + uint32(rng.Intn(200))
+				if n := doc.NodeByJDewey(level, key); n != nil && (n.JD != key || n.Level != level) {
+					fails.Add(1)
+				}
+				if m := doc.MaxJDeweyNode(level); m != nil {
+					for _, v := range doc.NodesAtLevel(level) {
+						if v.JD > m.JD {
+							fails.Add(1)
+						}
+					}
+				}
+				mu.RUnlock()
+			}
+		}(int64(r))
+	}
+	go func() {
+		for !stop.Load() {
+			doc.InvalidateJDeweyIndex()
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 1; !stop.Load(); round++ {
+			mu.Lock()
+			renumber(round)
+			mu.Unlock()
+		}
+	}()
+	wg.Wait()
+	stop.Store(true)
+	<-done
+	if f := fails.Load(); f != 0 {
+		t.Fatalf("%d lookups returned a node not carrying the key", f)
 	}
 }

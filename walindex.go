@@ -312,6 +312,14 @@ func (ix *Index) compactOnce() (err error) {
 
 	var g *colstore.Gen
 	if ix.log != nil {
+		// A slow-path publish always moves the epoch (fast appends inherit
+		// it), so a fold it overtook is stale before it is written: skip the
+		// generation write. The locked check below still catches a publish
+		// that lands during the write.
+		if ix.view().epoch != cur.epoch {
+			ix.metrics.Compact.RecordAbandoned(int64(time.Since(start)))
+			return nil
+		}
 		var err error
 		g, err = ix.walGen.Next()
 		if err == nil {
