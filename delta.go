@@ -21,11 +21,11 @@ import (
 // fully merged occurrence lists of the dirty terms. Whenever the
 // compactor, a save or a slow-path commit needs a materialized snapshot,
 // the delta is folded: clones of the floating nodes, JDewey numbers and
-// all, are grafted onto a clone of the base, and the tree and the dirty
-// lists are refreshed once, whatever the delta's length (foldTree,
-// materializeOf). Queries read base ⊕ delta through the snapshot accessors
-// below plus the column-store overlay (colstore.NewOverlay), so every
-// engine works unchanged.
+// all, are grafted onto a clone of the base, the tree is refreshed once,
+// and the dirty lists are rebuilt once from the delta's own merged lists,
+// whatever the delta's length (foldTree, materializeOf). Queries read
+// base ⊕ delta through the snapshot accessors below plus the column-store
+// overlay (colstore.NewOverlay), so every engine works unchanged.
 //
 // Only appending leaf inserts ride the fast path (fastInsert, called only
 // by update.go's fastChain): a removal, an insert at a non-tail position,
@@ -36,7 +36,8 @@ import (
 // appended occurrences, rescored". The base list is read from the base
 // column store, never from the occurrence map, so the fast path — WAL
 // replay included — costs O(touched lists) and leaves a loaded index's
-// map unbuilt; only the baselines, the slow path and compaction build it.
+// map unbuilt; so do the slow path and compaction, and only the baselines
+// build it.
 
 // deltaSeg is the immutable delta of one snapshot. Successive fast-path
 // publishes build successor segments copy-on-write; a pinned reader keeps
@@ -204,8 +205,11 @@ func (s *snapshot) topParentJD(level int) uint32 {
 // structural mutation moves every rank), non-append positions, an append
 // whose JDewey number cannot legally go above its level's maximum, or a
 // dirty term whose base list is quarantined (the slow path rebuilds it
-// from the tree and lifts the quarantine).
-func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*snapshot, *xmltree.Node, map[string]int) {
+// from the tree and lifts the quarantine). The lists of the terms in own
+// are copies the calling chain already made, private to it, so they grow
+// in place; a list of cur's delta is copied first, and a list read from
+// the base store is fresh.
+func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation, own map[string][]occur.Occ) (*snapshot, *xmltree.Node, map[string]int) {
 	if ix.cfg.elemRank || m.Pos != len(cur.visibleChildren(parent)) {
 		return nil, nil, nil
 	}
@@ -275,10 +279,11 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*s
 			if prev, ok = baseOccs(bs, cur.doc, term); !ok {
 				return nil, nil, nil
 			}
+		} else if _, mine := own[term]; !mine {
+			prev = slices.Clone(prev)
 		}
 		at := sort.Search(len(prev), func(i int) bool { return jdewey.Compare(prev[i].Node.JDeweySeq(), seq) > 0 })
-		merged := make([]occur.Occ, 0, len(prev)+1)
-		d.terms[term] = append(append(append(merged, prev[:at]...), occur.Occ{Node: child, TF: tf}), prev[at:]...)
+		d.terms[term] = slices.Insert(prev, at, occur.Occ{Node: child, TF: tf})
 	}
 
 	// The store stays cur's: fastChain rescores the changed lists and
@@ -294,12 +299,27 @@ func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation) (*s
 }
 
 // baseOccs reads term's base postings from the column list of st, in
-// JDewey order: each row's node is resolved in doc by its own level's
-// number (the first row of its run there — a node precedes its
-// descendants) and its tf is recounted from the node's text. ok is false
-// when the list is quarantined or does not resolve against doc; the caller
-// then takes the slow path, which rebuilds the list from the tree.
+// JDewey order, with each row's tf recounted from its node's text (see
+// baseRows).
 func baseOccs(st *colstore.Store, doc *xmltree.Document, term string) (occs []occur.Occ, ok bool) {
+	occs, ok = baseRows(st, doc, term)
+	for i := range occs {
+		tokenize.Each(occs[i].Node.Text, func(t string) {
+			if t == term {
+				occs[i].TF++
+			}
+		})
+	}
+	return occs, ok
+}
+
+// baseRows resolves the rows of term's column list in st to their nodes
+// in doc, in JDewey order, leaving tf zero: each row's node is resolved by
+// its own level's number (the first row of its run there — a node precedes
+// its descendants). ok is false when the list is quarantined or does not
+// resolve against doc; the caller then takes the slow path, which rebuilds
+// the list from the tree.
+func baseRows(st *colstore.Store, doc *xmltree.Document, term string) (occs []occur.Occ, ok bool) {
 	l := st.List(term)
 	if l == nil {
 		return nil, st.QuarantineErr(term) == nil
@@ -314,13 +334,7 @@ func baseOccs(st *colstore.Store, doc *xmltree.Document, term string) (occs []oc
 			if n == nil {
 				return nil, false
 			}
-			tf := 0
-			tokenize.Each(n.Text, func(t string) {
-				if t == term {
-					tf++
-				}
-			})
-			occs[r.Row] = occur.Occ{Node: n, TF: tf}
+			occs[r.Row] = occur.Occ{Node: n}
 		}
 	}
 	return occs, true
@@ -332,9 +346,9 @@ func baseOccs(st *colstore.Store, doc *xmltree.Document, term string) (occs []oc
 // write lock (the background compactor does); the result is private until
 // published. For a delta-free cur it is exactly the old clone().
 func (ix *Index) materializeOf(cur *snapshot) *snapshot {
-	next, dirty := foldTree(cur)
-	if len(dirty) > 0 {
-		ix.applyDirty(next, dirty)
+	next, r := ix.foldTree(cur)
+	if len(r.terms) > 0 {
+		ix.applyDirty(next, r)
 	}
 	return next
 }
@@ -345,43 +359,48 @@ func (ix *Index) materializeOf(cur *snapshot) *snapshot {
 // keeps the JDewey number the fast path minted for it, which is valid by
 // construction (fastInsert mints above every number at the level, under a
 // parent at least topParentJD), so the folded snapshot numbers its nodes
-// exactly as the delta view did. The lists of the delta's dirty terms are
-// still the base's: foldTree returns those terms, and its caller rebuilds
-// them — alone (materializeOf) or with its own operations' (applyTo).
-func foldTree(cur *snapshot) (*snapshot, map[string]bool) {
+// exactly as the delta view did. The folded snapshot's occurrence map is
+// lazy, like a loaded one's. The lists of the delta's dirty terms are
+// still the base's: foldTree returns a rebuild carrying those terms and
+// where each of cur's nodes went, and its caller rebuilds them — alone
+// (materializeOf) or with its own operations' (applyTo).
+func (ix *Index) foldTree(cur *snapshot) (*snapshot, *rebuild) {
 	doc := cur.doc.Clone()
 	next := &snapshot{
 		doc:   doc,
-		m:     builtOcc(cur.m.get().CloneRemapped(doc.Nodes)),
+		m:     lazyOcc(doc, cur.baseStore().N, ix.cfg),
 		store: cur.baseStore().Clone(),
 		enc:   cur.enc.CloneFor(doc),
 	}
-	dirty := map[string]bool{}
+	// The table is taken before any refresh: a refresh rewrites doc.Nodes
+	// in place and every node's ordinal.
+	r := &rebuild{from: cur, clones: slices.Clone(doc.Nodes), terms: map[string]bool{}}
 	d := cur.delta
 	if d == nil {
-		return next, dirty
+		return next, r
 	}
+	r.delta = d.terms
 	// Floating ordinals run on from the base's in creation order, and a
 	// floating parent precedes its children, so one pass over them in
 	// ordinal order finds every parent's clone already made.
-	clones := append(slices.Clone(doc.Nodes), make([]*xmltree.Node, d.addedCount)...)
+	r.clones = append(r.clones, make([]*xmltree.Node, d.addedCount)...)
 	for _, lm := range d.added {
 		for _, f := range lm {
-			clones[f.Ord] = f
+			r.clones[f.Ord] = f
 		}
 	}
-	for _, f := range clones[len(doc.Nodes):] {
-		p := clones[f.Parent.Ord]
+	for _, f := range r.clones[len(doc.Nodes):] {
+		p := r.clones[f.Parent.Ord]
 		c := &xmltree.Node{Tag: f.Tag, Text: f.Text, JD: f.JD}
 		p.Children = append(p.Children, c)
-		clones[f.Ord] = c
+		r.clones[f.Ord] = c
 	}
 	doc.Refresh()
 	for level, jd := range d.maxJD {
 		next.enc.Reserve(level, jd)
 	}
 	for t := range d.terms {
-		dirty[t] = true
+		r.terms[t] = true
 	}
-	return next, dirty
+	return next, r
 }

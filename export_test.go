@@ -21,3 +21,19 @@ func (ix *Index) topKOn(engine, query string, k int, opt SearchOptions) ([]Resul
 	rs, _, err := engines.ByName(engine).Run(context.Background(), s, q, tr)
 	return rs, tr, err
 }
+
+// slowTokenised commits muts through the slow half of applyTo — the fold
+// and the slow loop, as any batch with a removal or an interior insert
+// takes — without a log, and returns the node texts its list rebuild
+// tokenised.
+func (ix *Index) slowTokenised(muts []Mutation) (int, error) {
+	ix.writeMu.Lock()
+	defer ix.writeMu.Unlock()
+	next, r := ix.foldTree(ix.view())
+	if _, _, _, err := ix.applySlow(next, muts, r); err != nil {
+		return 0, err
+	}
+	next.epoch = ix.epochs.Add(1)
+	ix.publish(next)
+	return r.tokenised, nil
+}

@@ -26,17 +26,17 @@ func NewOverlay(m *occur.Map, prev *Store) *Store {
 	base := prev
 	if prev.fallback != nil {
 		base = prev.fallback
-		prev.mu.Lock()
+		prev.mu.RLock()
 		for term, l := range prev.lists {
 			if _, own := s.lists[term]; !own {
 				s.lists[term], s.tklists[term] = l, prev.tklists[term]
 			}
 		}
-		prev.mu.Unlock()
+		prev.mu.RUnlock()
 	}
-	base.mu.Lock()
+	base.mu.RLock()
 	s.obsC = base.obsC
-	base.mu.Unlock()
+	base.mu.RUnlock()
 	s.fallback = base
 	return s
 }
@@ -59,8 +59,8 @@ func (s *Store) overlayMiss(term string, tk bool) *Store {
 	if s.fallback == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var own bool
 	if tk {
 		_, own = s.tklists[term]
@@ -80,7 +80,7 @@ func (s *Store) openManyOverlay(terms []string, tk bool, tr *obs.Trace, bdg *bud
 	out := make([]any, len(terms))
 	rest := make([]string, 0, len(terms))
 	restIdx := make([]int, 0, len(terms))
-	s.mu.Lock()
+	s.mu.RLock()
 	for i, term := range terms {
 		var memo any
 		if tk {
@@ -104,11 +104,11 @@ func (s *Store) openManyOverlay(terms []string, tk bool, tr *obs.Trace, bdg *bud
 			tr.ListOpen(term, rows, maxLen, 0)
 		}
 		if err := bdg.ChargeDecoded(decodedSizeAny(memo)); err != nil {
-			s.mu.Unlock()
+			s.mu.RUnlock()
 			return out, err
 		}
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if len(rest) == 0 {
 		return out, nil
 	}

@@ -119,7 +119,7 @@ func (s *Store) openMany(terms []string, tk bool, tr *obs.Trace, bdg *budget.B) 
 	}
 	var jobs []*job
 	pending := map[string]*job{} // dedup: one decode per distinct term
-	s.mu.Lock()
+	s.mu.RLock()
 	for i, term := range terms {
 		var memo any
 		if tk {
@@ -148,7 +148,7 @@ func (s *Store) openMany(terms []string, tk bool, tr *obs.Trace, bdg *budget.B) 
 				tr.ListOpen(term, rows, maxLen, encLen)
 			}
 			if err := bdg.ChargeDecoded(decodedSizeAny(memo)); err != nil {
-				s.mu.Unlock()
+				s.mu.RUnlock()
 				return out, err
 			}
 			continue
@@ -172,7 +172,7 @@ func (s *Store) openMany(terms []string, tk bool, tr *obs.Trace, bdg *budget.B) 
 					tr.ListOpen(term, rows, maxLen, encLen)
 				}
 				if err := bdg.ChargeDecoded(decodedSizeAny(v)); err != nil {
-					s.mu.Unlock()
+					s.mu.RUnlock()
 					return out, err
 				}
 				continue
@@ -187,7 +187,7 @@ func (s *Store) openMany(terms []string, tk bool, tr *obs.Trace, bdg *budget.B) 
 		jobs = append(jobs, j)
 		pending[term] = j
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if len(jobs) == 0 {
 		return out, nil
 	}

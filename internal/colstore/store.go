@@ -3,8 +3,10 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,7 +33,11 @@ type Store struct {
 	N     int // element-node count of the indexed document
 	Depth int
 
-	mu      sync.Mutex
+	// mu guards the maps below. Lookups take it shared, so a writer's
+	// Clone, which copies every term map (about 10 ms at 30 000 terms),
+	// runs beside the queries reading the same store instead of stalling
+	// them.
+	mu      sync.RWMutex
 	lists   map[string]*List
 	tklists map[string]*TKList
 
@@ -146,40 +152,23 @@ func (s *Store) SetCache(c *Cache) {
 // affects the original, so in-flight queries keep reading a consistent
 // store while a writer prepares the next snapshot.
 func (s *Store) Clone() *Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns := &Store{
-		N:       s.N,
-		Depth:   s.Depth,
-		lists:   make(map[string]*List, len(s.lists)),
-		tklists: make(map[string]*TKList, len(s.tklists)),
-		colBlob: s.colBlob,
-		tkBlob:  s.tkBlob,
-		format:  s.format,
-		obsC:    s.obsC,
-		cache:   s.cache,
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Store{
+		N:           s.N,
+		Depth:       s.Depth,
+		lists:       maps.Clone(s.lists),
+		tklists:     maps.Clone(s.tklists),
+		colBlob:     s.colBlob,
+		tkBlob:      s.tkBlob,
+		lex:         maps.Clone(s.lex),
+		format:      s.format,
+		quarantined: maps.Clone(s.quarantined),
+		fileDamage:  slices.Clone(s.fileDamage),
+		obsC:        s.obsC,
+		cache:       s.cache,
+		fallback:    s.fallback,
 	}
-	for k, v := range s.lists {
-		ns.lists[k] = v
-	}
-	for k, v := range s.tklists {
-		ns.tklists[k] = v
-	}
-	if s.lex != nil {
-		ns.lex = make(map[string]lexEntry, len(s.lex))
-		for k, v := range s.lex {
-			ns.lex[k] = v
-		}
-	}
-	if s.quarantined != nil {
-		ns.quarantined = make(map[string]error, len(s.quarantined))
-		for k, v := range s.quarantined {
-			ns.quarantined[k] = v
-		}
-	}
-	ns.fileDamage = append([]string(nil), s.fileDamage...)
-	ns.fallback = s.fallback
-	return ns
 }
 
 // quarantine records one term's on-disk damage (under s.mu). The term then
@@ -313,8 +302,8 @@ func (s *Store) DocFreq(term string) int {
 	if fb := s.overlayMiss(term, false); fb != nil {
 		return fb.DocFreq(term)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if l, ok := s.lists[term]; ok {
 		return l.NumRows
 	}
@@ -331,8 +320,8 @@ func (s *Store) Words() []string {
 	if s.fallback != nil {
 		base = s.fallback.Words() // outside s.mu: overlay locks never nest under base locks
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	seen := make(map[string]bool, len(s.lists)+len(s.lex)+len(base))
 	for _, w := range base {
 		seen[w] = true
@@ -664,8 +653,8 @@ func (s *Store) Health() Health {
 
 // QuarantineErr returns the recorded damage for a term, or nil.
 func (s *Store) QuarantineErr(term string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.quarantined[term]
 }
 

@@ -76,53 +76,6 @@ func TestWords(t *testing.T) {
 	}
 }
 
-func TestUpdateTerms(t *testing.T) {
-	doc := sample(t)
-	m := Extract(doc)
-	frozenN := m.N
-
-	// Mutate: the paper node gains an "xml" occurrence, "mining" vanishes.
-	var paper *xmltree.Node
-	for _, n := range doc.Nodes {
-		if n.Tag == "paper" {
-			paper = n
-		}
-	}
-	paper.Text = "data warehousing xml"
-	m.UpdateTerms(doc, map[string]bool{"xml": true, "mining": true, "warehousing": true})
-
-	if m.DocFreq("xml") != 3 {
-		t.Errorf("df(xml) = %d, want 3 after update", m.DocFreq("xml"))
-	}
-	if m.DocFreq("mining") != 0 {
-		t.Error("vanished term still indexed")
-	}
-	if m.DocFreq("warehousing") != 1 {
-		t.Error("new term not indexed")
-	}
-	if m.N != frozenN {
-		t.Errorf("corpus constant drifted: %d vs %d", m.N, frozenN)
-	}
-	// Untouched term must be byte-identical.
-	if m.DocFreq("data") != 2 {
-		t.Error("untouched term disturbed")
-	}
-	// Document order preserved in updated lists.
-	for _, term := range []string{"xml", "warehousing"} {
-		occs := m.Terms[term]
-		for i := 1; i < len(occs); i++ {
-			if occs[i-1].Node.Ord >= occs[i].Node.Ord {
-				t.Fatalf("updated list %q not in document order", term)
-			}
-		}
-	}
-	// Empty dirty set is a no-op beyond depth refresh.
-	m.UpdateTerms(doc, nil)
-	if m.DocFreq("xml") != 3 {
-		t.Error("no-op update changed state")
-	}
-}
-
 func TestExtractN(t *testing.T) {
 	doc := sample(t)
 	a := Extract(doc)

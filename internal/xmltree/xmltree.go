@@ -163,7 +163,20 @@ func (d *Document) NodesAtLevel(level int) []*Node {
 
 func (d *Document) nodesAtLevelLocked(level int) []*Node {
 	if d.byLevel == nil {
+		// The levels are carved from one slice, sized by a first pass:
+		// off[l] is where level l starts.
+		off := make([]int, d.Depth+2)
+		for _, n := range d.Nodes {
+			off[n.Level+1]++
+		}
+		for l := 1; l < len(off); l++ {
+			off[l] += off[l-1]
+		}
+		all := make([]*Node, len(d.Nodes))
 		d.byLevel = make([][]*Node, d.Depth+1)
+		for l := range d.byLevel {
+			d.byLevel[l] = all[off[l]:off[l]:off[l+1]]
+		}
 		for _, n := range d.Nodes {
 			d.byLevel[n.Level] = append(d.byLevel[n.Level], n)
 		}

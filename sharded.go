@@ -143,7 +143,7 @@ func NewSharded(doc *xmltree.Document, n int, opts ...Option) (*Sharded, error) 
 		sd := shardDocs[i]
 		enc := jdewey.Assign(sd, 4)
 		sm := &occur.Map{Terms: terms[i], N: m.N, Depth: sd.Depth}
-		shards[i] = newIndex(sd, builtOcc(sm), colstore.Build(sm), enc, cfg)
+		shards[i] = newIndex(sd, &occHolder{m: sm}, colstore.Build(sm), enc, cfg)
 	}
 	return assembleSharded(shards, counts), nil
 }

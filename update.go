@@ -26,7 +26,8 @@ import (
 // path: it folds the delta into a clone of the document (one tree refresh,
 // whatever the delta's length; see foldTree), runs the caller's own
 // operations through the JDewey maintenance path, and rebuilds the
-// delta's and the operations' dirty lists in one pass.
+// delta's and the operations' dirty lists in one pass — each from its own
+// postings, never from a whole-document scan (see applyDirty).
 //
 // There is one write path (DESIGN.md §18). applyTo is the only place an
 // operation is validated against a snapshot and applied — fast chain
@@ -168,8 +169,8 @@ func (ix *Index) applyTo(cur *snapshot, muts []Mutation) (next *snapshot, ids []
 	if next, ids, dirty, err = ix.fastChain(cur, muts); next != nil || err != nil {
 		return next, ids, dirty, false, err
 	}
-	next, stale := foldTree(cur)
-	if ids, dirty, renumbered, err = ix.applySlow(next, muts, stale); err != nil {
+	next, r := ix.foldTree(cur)
+	if ids, dirty, renumbered, err = ix.applySlow(next, muts, r); err != nil {
 		return nil, nil, 0, false, err
 	}
 	next.epoch = ix.epochs.Add(1)
@@ -234,7 +235,7 @@ func (ix *Index) fastChain(cur *snapshot, muts []Mutation) (next *snapshot, ids 
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		ns, child, terms := ix.fastInsert(next, parent, m)
+		ns, child, terms := ix.fastInsert(next, parent, m, touched)
 		if ns == nil {
 			return nil, nil, 0, nil
 		}
@@ -258,11 +259,12 @@ func (ix *Index) fastChain(cur *snapshot, muts []Mutation) (next *snapshot, ids 
 }
 
 // applySlow runs the caller's muts in order against next — a private,
-// delta-free snapshot — through the real JDewey maintenance path (one tree
-// refresh per operation), then rebuilds every dirty list once: the terms
-// the batch touched and those already stale in next (a fold's, from
-// foldTree). On error next is left half-applied and must be dropped.
-func (ix *Index) applySlow(next *snapshot, muts []Mutation, dirty map[string]bool) (ids []string, dirtyN int, renumbered bool, err error) {
+// delta-free snapshot folded from r.from — through the real JDewey
+// maintenance path (one tree refresh per operation), then rebuilds every
+// dirty list once: the terms the batch touched and those already stale in
+// next (a fold's, from foldTree). r counts the node texts the rebuild
+// tokenises. On error next is left half-applied and must be dropped.
+func (ix *Index) applySlow(next *snapshot, muts []Mutation, r *rebuild) (ids []string, dirty int, renumbered bool, err error) {
 	ids = make([]string, len(muts))
 	for i, m := range muts {
 		n, err := next.resolve(m)
@@ -270,23 +272,24 @@ func (ix *Index) applySlow(next *snapshot, muts []Mutation, dirty map[string]boo
 			return nil, 0, false, err
 		}
 		if m.Remove {
-			collectTerms(n, dirty)
+			collectTerms(n, r.terms)
 			next.enc.Remove(n)
 			continue
 		}
 		child := &xmltree.Node{Tag: m.Tag, Text: m.Text}
-		collectTerms(child, dirty)
+		collectTerms(child, r.terms)
+		r.added = append(r.added, child)
 		moved, err := next.enc.Insert(n, child, m.Pos)
 		if err != nil {
 			return nil, 0, false, fmt.Errorf("xmlsearch: %w", err)
 		}
 		if moved != nil {
 			renumbered = true
-			collectTerms(moved, dirty)
+			collectTerms(moved, r.terms)
 		}
 		ids[i] = child.Dewey.String()
 	}
-	return ids, ix.applyDirty(next, dirty), renumbered, nil
+	return ids, ix.applyDirty(next, r), renumbered, nil
 }
 
 // publish stamps the next snapshot's generation and swaps it in
@@ -307,49 +310,121 @@ func collectTerms(n *xmltree.Node, into map[string]bool) {
 	}
 }
 
-// applyDirty refreshes the occurrence map of the snapshot under
-// construction, rebuilds the dirty lists in its column store, and returns
-// how many lists were rebuilt. With ElemRank enabled, the dirty set is
+// rebuild is what a slow commit or a fold needs to rebuild its dirty
+// lists from their own postings: the snapshot it was folded from, where
+// each of that snapshot's nodes went in the clone, the dirty terms, and
+// the leaves the batch inserted.
+type rebuild struct {
+	from  *snapshot
+	delta map[string][]occur.Occ // from's delta lists, nil without a delta
+	// clones maps a node ordinal of from — base and floating alike, taken
+	// before any refresh — to its clone. A renumbering insert moves JDewey
+	// numbers, so postings are carried by node identity, never by number.
+	clones []*xmltree.Node
+	terms  map[string]bool
+	added  []*xmltree.Node
+	// tokenised counts the node texts lists has tokenised; an ElemRank
+	// re-rank extracts the whole tree instead and is not counted.
+	tokenised int
+}
+
+// lists returns every dirty term's postings in doc, the tree r's clone
+// became, unscored and in no particular order. Two facts make them exact: a
+// mutation never changes a surviving node's text, so a surviving posting
+// keeps its tf, and renumbering changes only the order. So a term's
+// postings lie among its postings in r.from — the delta's merged list when
+// the fold made it dirty, its base column list otherwise — carried into
+// the clone, and the inserted leaves; one scan over the union of those
+// candidates, skipping every node the batch detached, counts every dirty
+// term at once, so no node is tokenised twice. A term whose stored list
+// cannot be read (quarantined, or not resolving) makes every node of doc
+// a candidate instead; that is how a write lifts a quarantine.
+func (r *rebuild) lists(doc *xmltree.Document) map[string][]occur.Occ {
+	cands := r.added
+	seen := make([]bool, len(r.clones))
+	for t := range r.terms {
+		src, ok := r.delta[t]
+		if !ok {
+			src, ok = baseRows(r.from.baseStore(), r.from.doc, t)
+		}
+		if !ok {
+			cands = doc.Nodes
+			break
+		}
+		for _, o := range src {
+			if !seen[o.Node.Ord] {
+				seen[o.Node.Ord] = true
+				cands = append(cands, r.clones[o.Node.Ord])
+			}
+		}
+	}
+	out := make(map[string][]occur.Occ, len(r.terms))
+	for _, n := range cands {
+		// A detached node keeps the ordinal of its last refresh, where doc
+		// now holds another node (or none).
+		if n.Text == "" || n.Ord >= len(doc.Nodes) || doc.Nodes[n.Ord] != n {
+			continue
+		}
+		r.tokenised++
+		// Counted in place: a term's last posting is n's whenever it
+		// repeats within n.
+		tokenize.Each(n.Text, func(t string) {
+			if !r.terms[t] {
+				return
+			}
+			occs := out[t]
+			if k := len(occs); k > 0 && occs[k-1].Node == n {
+				occs[k-1].TF++
+				return
+			}
+			out[t] = append(occs, occur.Occ{Node: n, TF: 1})
+		})
+	}
+	return out
+}
+
+// applyDirty rebuilds the dirty lists in the column store of the snapshot
+// under construction, and returns how many lists it rebuilt. Each list is
+// rebuilt from its own postings (rebuild.lists) and scored against its new
+// document frequency and the store's frozen corpus constant N, so nothing
+// here reads, copies or maintains the occurrence map. With ElemRank enabled, the dirty set is
 // widened to every indexed term: the link-based rank is a global property
 // of the tree, so a structural mutation moves the rank factor of
 // occurrences far from the mutation site, and re-applying fresh ranks
 // everywhere is what keeps the published snapshot's scores mutually
 // consistent (the alternative — freezing ranks like the corpus constant N
 // — would let two occurrences of one term carry ranks from different tree
-// generations).
-func (ix *Index) applyDirty(s *snapshot, dirty map[string]bool) int {
-	m := s.m.get()
+// generations). That re-rank extracts the ranked lists of the new tree
+// once and rebuilds every list from them; the snapshot's occurrence map
+// stays the lazy one foldTree gave it.
+func (ix *Index) applyDirty(s *snapshot, r *rebuild) int {
+	n := s.store.N
+	var rebuilt map[string][]occur.Occ
 	if ix.cfg.elemRank {
-		for term := range m.Terms {
-			dirty[term] = true
+		rebuilt = occur.ExtractRanked(s.doc, n, score.ElemRank(s.doc, ix.cfg.erParams)).Terms
+		for term := range rebuilt {
+			r.terms[term] = true
 		}
-	}
-	m.UpdateTerms(s.doc, dirty)
-	var ranks []float64
-	if ix.cfg.elemRank {
-		ranks = score.ElemRank(s.doc, ix.cfg.erParams)
-	}
-	for term := range dirty {
-		occs := m.Terms[term]
-		if ranks != nil {
+	} else {
+		rebuilt = r.lists(s.doc)
+		for _, occs := range rebuilt {
 			for i := range occs {
-				occs[i].Score *= float32(ranks[occs[i].Node.Ord])
+				occs[i].Score = float32(score.Local(occs[i].TF, len(occs), n))
 			}
 		}
-		// The occurrence map stays in document order (the baselines build
-		// Dewey-sorted lists from it); the column store is keyed by
-		// JDewey-sequence order, which no longer coincides with document
-		// order once a subtree has been renumbered or a child has been
-		// inserted out of number order — so sort a copy.
-		sorted := make([]occur.Occ, len(occs))
-		copy(sorted, occs)
-		sortByJDewey(sorted)
-		s.store.Replace(term, sorted)
+	}
+	for term := range r.terms {
+		// The column store is keyed by JDewey-sequence order, which is not
+		// document order once a subtree has been renumbered or a child has
+		// been inserted out of number order.
+		occs := rebuilt[term]
+		sortByJDewey(occs)
+		s.store.Replace(term, occs)
 	}
 	// The store keeps carrying the frozen scoring constant; only the depth
 	// tracks the document.
-	s.store.SetMeta(m.N, s.doc.Depth)
-	return len(dirty)
+	s.store.SetMeta(n, s.doc.Depth)
+	return len(r.terms)
 }
 
 // sortByJDewey stably sorts occurrences into JDewey-sequence order. The

@@ -275,7 +275,8 @@ type Index struct {
 type snapshot struct {
 	doc *xmltree.Document
 	// m is the base occurrence map, shared with every delta snapshot on
-	// this base; a loaded index builds it only when something reads it.
+	// this base; a loaded or written snapshot builds it only when a
+	// baseline engine reads it.
 	m     *occHolder
 	store *colstore.Store
 	enc   *jdewey.Encoding
@@ -302,28 +303,32 @@ type snapshot struct {
 
 // occHolder is a base occurrence map that is built at most once, on first
 // use. The served path (the join and top-K engines, the planner, DocFreq)
-// reads the column store's lexicon and never needs it; the baselines and
-// the write path do. Holders of built or derived maps are filled at
+// and the write path read the column store and never need it; only the
+// baselines named explicitly do. Holders of built maps are filled at
 // construction and never run their build.
 type occHolder struct {
 	once sync.Once
 	doc  *xmltree.Document
 	n    int
+	cfg  config
 	m    *occur.Map
 }
 
-// builtOcc wraps a map that already exists.
-func builtOcc(m *occur.Map) *occHolder { return &occHolder{m: m} }
-
 // lazyOcc defers extracting doc's map, against the frozen corpus constant
-// n, to the first get.
-func lazyOcc(doc *xmltree.Document, n int) *occHolder { return &occHolder{doc: doc, n: n} }
+// n, to the first get; an ElemRank index's map is ranked over doc.
+func lazyOcc(doc *xmltree.Document, n int, cfg config) *occHolder {
+	return &occHolder{doc: doc, n: n, cfg: cfg}
+}
 
 // get returns the map, extracting it on the first call.
 func (h *occHolder) get() *occur.Map {
 	h.once.Do(func() {
 		if h.m == nil {
-			h.m = occur.ExtractN(h.doc, h.n)
+			var ranks []float64
+			if h.cfg.elemRank {
+				ranks = score.ElemRank(h.doc, h.cfg.erParams)
+			}
+			h.m = occur.ExtractRanked(h.doc, h.n, ranks)
 		}
 	})
 	return h.m
@@ -423,13 +428,8 @@ func FromDocument(doc *xmltree.Document, opts ...Option) (*Index, error) {
 	// A small reserved gap lets most future insertions keep their family's
 	// JDewey numbers (Section III-A).
 	enc := jdewey.Assign(doc, 4)
-	var m *occur.Map
-	if cfg.elemRank {
-		m = occur.ExtractRanked(doc, doc.Len(), score.ElemRank(doc, cfg.erParams))
-	} else {
-		m = occur.Extract(doc)
-	}
-	return newIndex(doc, builtOcc(m), colstore.Build(m), enc, cfg), nil
+	m := lazyOcc(doc, doc.Len(), cfg)
+	return newIndex(doc, m, colstore.Build(m.get()), enc, cfg), nil
 }
 
 // Len returns the number of element nodes indexed.
@@ -669,12 +669,8 @@ func loadGen(g *colstore.Gen) (*Index, error) {
 	// The occurrence map is extracted on first use, against the frozen
 	// corpus constant the saved scores were computed with. The saved lists
 	// already carry ElemRank's rank factors (a save follows every re-rank);
-	// its map is built here, with ranks recomputed from the same tree.
-	m := lazyOcc(doc, store.N)
-	if cfg.elemRank {
-		m = builtOcc(occur.ExtractRanked(doc, store.N, score.ElemRank(doc, cfg.erParams)))
-	}
-	ix := newIndex(doc, m, store, enc, cfg)
+	// its map ranks with the same tree.
+	ix := newIndex(doc, lazyOcc(doc, store.N, cfg), store, enc, cfg)
 	if err := ix.attachWAL(g); err != nil {
 		return nil, err
 	}
