@@ -34,7 +34,7 @@ func newCorpus(idx *Index, names []string) *Corpus {
 
 // OpenCorpus parses and indexes the XML documents at the given paths into
 // one corpus. At least one path is required.
-func OpenCorpus(paths []string, opts ...Option) (*Corpus, error) {
+func OpenCorpus(paths []string) (*Corpus, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("xmlsearch: empty corpus")
 	}
@@ -55,12 +55,12 @@ func OpenCorpus(paths []string, opts ...Option) (*Corpus, error) {
 		readers[i] = f
 		names[i] = filepath.Base(p)
 	}
-	return OpenCorpusReaders(readers, names, opts...)
+	return OpenCorpusReaders(readers, names)
 }
 
 // OpenCorpusReaders indexes one document per reader; names label the
 // documents in results (len(names) must equal len(readers)).
-func OpenCorpusReaders(readers []io.Reader, names []string, opts ...Option) (*Corpus, error) {
+func OpenCorpusReaders(readers []io.Reader, names []string) (*Corpus, error) {
 	if len(readers) == 0 || len(readers) != len(names) {
 		return nil, fmt.Errorf("xmlsearch: corpus needs equally many readers and names")
 	}
@@ -74,7 +74,7 @@ func OpenCorpusReaders(readers []io.Reader, names []string, opts ...Option) (*Co
 		root.Children = append(root.Children, doc.Root)
 	}
 	merged.Refresh()
-	idx, err := FromDocument(merged, opts...)
+	idx, err := FromDocument(merged)
 	if err != nil {
 		return nil, err
 	}

@@ -201,16 +201,15 @@ func (s *snapshot) topParentJD(level int) uint32 {
 // under parent against cur. It returns the successor snapshot, the new
 // floating node and the terms whose merged lists it changed (fastChain
 // rescores them and builds their overlay), or a nil snapshot when the
-// operation must take the materializing slow path: ElemRank indexes (a
-// structural mutation moves every rank), non-append positions, an append
-// whose JDewey number cannot legally go above its level's maximum, or a
-// dirty term whose base list is quarantined (the slow path rebuilds it
-// from the tree and lifts the quarantine). The lists of the terms in own
-// are copies the calling chain already made, private to it, so they grow
-// in place; a list of cur's delta is copied first, and a list read from
-// the base store is fresh.
+// operation must take the materializing slow path: a non-append position,
+// an append whose JDewey number cannot legally go above its level's
+// maximum, or a dirty term whose base list is quarantined (the slow path
+// rebuilds it from the tree and lifts the quarantine). The lists of the
+// terms in own are copies the calling chain already made, private to it,
+// so they grow in place; a list of cur's delta is copied first, and a list
+// read from the base store is fresh.
 func (ix *Index) fastInsert(cur *snapshot, parent *xmltree.Node, m Mutation, own map[string][]occur.Occ) (*snapshot, *xmltree.Node, map[string]int) {
-	if ix.cfg.elemRank || m.Pos != len(cur.visibleChildren(parent)) {
+	if m.Pos != len(cur.visibleChildren(parent)) {
 		return nil, nil, nil
 	}
 	level := parent.Level + 1
@@ -368,7 +367,7 @@ func (ix *Index) foldTree(cur *snapshot) (*snapshot, *rebuild) {
 	doc := cur.doc.Clone()
 	next := &snapshot{
 		doc:   doc,
-		m:     lazyOcc(doc, cur.baseStore().N, ix.cfg),
+		m:     lazyOcc(doc, cur.baseStore().N),
 		store: cur.baseStore().Clone(),
 		enc:   cur.enc.CloneFor(doc),
 	}

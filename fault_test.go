@@ -178,14 +178,14 @@ func TestCorpusSaveCrashInvariant(t *testing.T) {
 // trailing garbage, and the node table's own shapes — a tag id past the
 // dictionary, child counts that overrun or underrun the nodes present, a
 // second root, text running past the end. A version 2 payload is rejected
-// with its version named.
+// with its version named, and so is a flags byte of 1 (ElemRank).
 func TestParseIndexMetaHardening(t *testing.T) {
 	idx, err := Open(strings.NewReader(faultDocA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := idx.encodeMeta(idx.view())
-	_, doc, err := parseIndexMeta(good)
+	doc, err := parseIndexMeta(good)
 	if err != nil || doc.Len() != idx.Len() {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -195,21 +195,26 @@ func TestParseIndexMetaHardening(t *testing.T) {
 	// The previous versions' magics with the same body are rejected; v2 by
 	// name.
 	body := good[len(indexMetaMagic):]
-	if _, _, err := parseIndexMeta(append([]byte("XKWMETA1\n"), body...)); err == nil {
+	if _, err := parseIndexMeta(append([]byte("XKWMETA1\n"), body...)); err == nil {
 		t.Fatal("legacy magic accepted")
 	}
-	if _, _, err := parseIndexMeta(append([]byte(indexMetaMagicV2), body...)); err == nil || !strings.Contains(err.Error(), "version 2") {
+	if _, err := parseIndexMeta(append([]byte(indexMetaMagicV2), body...)); err == nil || !strings.Contains(err.Error(), "version 2") {
 		t.Fatalf("v2 payload: %v, want an error naming version 2", err)
 	}
+	// A valid payload with flags 1 (an index built with ElemRank) is
+	// refused by name.
+	if _, err := parseIndexMeta(append(append([]byte(indexMetaMagic), 1), body[1:]...)); err == nil || !strings.Contains(err.Error(), "ElemRank") {
+		t.Fatalf("flags 1: %v, want an error naming ElemRank", err)
+	}
 
-	// meta prefixes a hand-built node table (after the no-ElemRank flag);
+	// meta prefixes a hand-built node table (after the flags byte, always 0);
 	// every table below has the one tag "a".
 	meta := func(table ...byte) []byte {
 		return append(append([]byte(indexMetaMagic), 0, 1, 1, 'a'), table...)
 	}
 	// One valid two-node tree, <a><a>x</a></a>: count, then per node tag
 	// id, child count, number, text length, text.
-	if _, _, err := parseIndexMeta(meta(2, 0, 1, 1, 0, 0, 0, 1, 1, 'x')); err != nil {
+	if _, err := parseIndexMeta(meta(2, 0, 1, 1, 0, 0, 0, 1, 1, 'x')); err != nil {
 		t.Fatalf("hand-built table rejected: %v", err)
 	}
 	bad := map[string][]byte{
@@ -232,7 +237,7 @@ func TestParseIndexMetaHardening(t *testing.T) {
 		"text past end":  meta(1, 0, 0, 1, 5, 'x'),
 	}
 	for name, data := range bad {
-		if _, _, err := parseIndexMeta(data); err == nil {
+		if _, err := parseIndexMeta(data); err == nil {
 			t.Errorf("%s: corrupt meta accepted", name)
 		}
 	}

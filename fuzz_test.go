@@ -43,7 +43,7 @@ func FuzzLoadMeta(f *testing.F) {
 	f.Add([]byte(indexMetaMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		elemRank, doc, err := parseIndexMeta(data)
+		doc, err := parseIndexMeta(data)
 		if err != nil {
 			return
 		}
@@ -52,7 +52,7 @@ func FuzzLoadMeta(f *testing.F) {
 				t.Fatalf("accepted numbering with zero at node %d", n.Ord)
 			}
 		}
-		ix := &Index{cfg: config{elemRank: elemRank}}
+		ix := &Index{}
 		if again := ix.encodeMeta(&snapshot{doc: doc}); !bytes.Equal(again, data) {
 			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", again, data)
 		}

@@ -44,15 +44,6 @@ func NewOverlay(m *occur.Map, prev *Store) *Store {
 // Base returns the store this overlay delegates to (nil for a base store).
 func (s *Store) Base() *Store { return s.fallback }
 
-// OverlayDepth reports how many overlays are chained above the base store.
-func (s *Store) OverlayDepth() int {
-	d := 0
-	for f := s.fallback; f != nil; f = f.fallback {
-		d++
-	}
-	return d
-}
-
 // overlayMiss reports where term must be served from: nil when this store
 // owns it (or is not an overlay), the fallback store otherwise.
 func (s *Store) overlayMiss(term string, tk bool) *Store {

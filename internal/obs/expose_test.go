@@ -76,8 +76,8 @@ func TestPrometheusCacheAndWriterLines(t *testing.T) {
 	m.Store.RecordCacheHit()
 	m.Store.RecordCacheMiss()
 	m.Store.RecordCacheEvictions(3)
-	m.Writer.RecordMutation(true, 5, true, time.Millisecond, nil)
-	m.Writer.RecordMutation(false, 2, false, time.Millisecond, nil)
+	m.Writer.RecordCommit(1, 0, 5, true, time.Millisecond, nil)
+	m.Writer.RecordCommit(0, 1, 2, false, time.Millisecond, nil)
 
 	var sb strings.Builder
 	m.Snapshot().WritePrometheus(&sb)

@@ -520,15 +520,6 @@ func (w *WriterMetrics) RecordCommit(inserts, removes, dirty int, renumbered boo
 	w.Latency.Observe(elapsed)
 }
 
-// RecordMutation is RecordCommit for a single operation.
-func (w *WriterMetrics) RecordMutation(insert bool, dirty int, renumbered bool, elapsed time.Duration, err error) {
-	if insert {
-		w.RecordCommit(1, 0, dirty, renumbered, elapsed, err)
-	} else {
-		w.RecordCommit(0, 1, dirty, renumbered, elapsed, err)
-	}
-}
-
 // WriterSnapshot is a point-in-time copy of WriterMetrics.
 type WriterSnapshot struct {
 	Inserts    int64             `json:"inserts"`

@@ -281,8 +281,8 @@ func TestWritePrometheusParses(t *testing.T) {
 	m.Store.RecordDecode(3, 100, 400)
 	m.Store.RecordCacheHit()
 	m.Store.RecordCacheMiss()
-	m.Writer.RecordMutation(true, 4, true, 2*time.Millisecond, nil)
-	m.Writer.RecordMutation(false, 1, false, 700*time.Microsecond, nil)
+	m.Writer.RecordCommit(1, 0, 4, true, 2*time.Millisecond, nil)
+	m.Writer.RecordCommit(0, 1, 1, false, 700*time.Microsecond, nil)
 	m.SetGaugeSource(func() Gauges {
 		return Gauges{SnapshotGen: 3, PinnedQueries: 1, CacheLists: 7, CacheBytes: 4096}
 	})

@@ -4,9 +4,9 @@
 // index families (the document-order Dewey lists used by the baseline
 // systems and the column-oriented JDewey lists used by the join-based
 // algorithms) are built from this single extraction. It runs when an index
-// is built, when a baseline is asked for by name, and on each write to an
-// ElemRank index (whose re-rank touches every list); an ordinary write
-// rebuilds its dirty lists from their own postings instead.
+// is built and when a baseline is asked for by name; a write rebuilds its
+// dirty lists from their own postings instead, and scores them with the
+// same Rescore.
 package occur
 
 import (
@@ -33,23 +33,6 @@ type Map struct {
 	Depth int // document depth
 }
 
-// ExtractRanked is ExtractN with a link-based component: each occurrence's
-// tf-idf local score is multiplied by the node's global-importance rank
-// (see score.ElemRank), the combined g(v, w) form Section II-B describes.
-// ranks is indexed by node ordinal; a nil ranks degenerates to ExtractN.
-func ExtractRanked(doc *xmltree.Document, n int, ranks []float64) *Map {
-	m := ExtractN(doc, n)
-	if ranks == nil {
-		return m
-	}
-	for _, occs := range m.Terms {
-		for i := range occs {
-			occs[i].Score *= float32(ranks[occs[i].Node.Ord])
-		}
-	}
-	return m
-}
-
 // Extract tokenizes every node's direct text and builds the occurrence map,
 // computing local scores from term and document frequencies.
 func Extract(doc *xmltree.Document) *Map {
@@ -72,12 +55,18 @@ func ExtractN(doc *xmltree.Document, n int) *Map {
 	// doc.Nodes is preorder, so each term's list is already in document
 	// order; compute scores now that document frequencies are known.
 	for _, occs := range m.Terms {
-		df := len(occs)
-		for i := range occs {
-			occs[i].Score = float32(score.Local(occs[i].TF, df, m.N))
-		}
+		Rescore(occs, m.N)
 	}
 	return m
+}
+
+// Rescore sets every occurrence's stored score from its tf, against the
+// list's document frequency len(occs) and the corpus constant n. It is the
+// one rule by which every stored list is scored.
+func Rescore(occs []Occ, n int) {
+	for i := range occs {
+		occs[i].Score = float32(score.Local(occs[i].TF, len(occs), n))
+	}
 }
 
 // DocFreq returns the number of nodes directly containing term.

@@ -205,28 +205,6 @@ func TestLoadedEqualsBuilt(t *testing.T) {
 	}
 }
 
-// TestLoadedEqualsBuiltElemRank: a loaded ElemRank index re-extracts its
-// occurrence map and rebuilds its lists; after mutations that changed the
-// document's size, the rebuilt scores must still use the frozen corpus
-// constant the built index scores with.
-func TestLoadedEqualsBuiltElemRank(t *testing.T) {
-	ds := gen.DBLP(0.01, 5)
-	queries := loadedQueries(ds)
-	idx, err := FromDocument(ds.Doc, WithElemRank())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.InsertElement("1", 0, "note", queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.RemoveElement("1.3"); err != nil {
-		t.Fatal(err)
-	}
-	if n := assertAnswersEqual(t, "elemrank", idx, saveAndLoad(t, idx), queries, registeredAlgorithms()); n == 0 {
-		t.Fatal("no query has an answer: the comparison proves nothing")
-	}
-}
-
 // TestSaveLoadKeepsTagsAndText: tags and text reach a loaded index exactly
 // as they were written, including tags no XML name could carry and text
 // that XML would trim or could not hold — through Save, and through a WAL

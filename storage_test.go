@@ -115,7 +115,7 @@ func TestLoadRejectsUncommittedDir(t *testing.T) {
 		"postings.col": "",
 		"postings.tk":  "",
 		"document.xml": "<a/>",
-		"index.meta":   "XKWMETA1\n\x00\x01\x01", // no ElemRank, one node numbered 1
+		"index.meta":   "XKWMETA1\n\x00\x01\x01", // flags, always 0; one node numbered 1
 	} {
 		if err := os.WriteFile(filepath.Join(v1, name), []byte(data), 0o644); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/jdewey"
 	"repro/internal/occur"
-	"repro/internal/score"
 	"repro/internal/tokenize"
 	"repro/internal/xmltree"
 )
@@ -21,13 +20,13 @@ import (
 // one step further: the write path is a base ⊕ delta design (see
 // delta.go). An appending leaf insert costs O(delta + touched lists): it
 // is recorded in a small immutable delta segment layered over the base
-// snapshot instead of cloning the corpus. Removals, non-append inserts,
-// gap-exhausted inserts, and ElemRank indexes take the materializing slow
-// path: it folds the delta into a clone of the document (one tree refresh,
-// whatever the delta's length; see foldTree), runs the caller's own
-// operations through the JDewey maintenance path, and rebuilds the
-// delta's and the operations' dirty lists in one pass — each from its own
-// postings, never from a whole-document scan (see applyDirty).
+// snapshot instead of cloning the corpus. Removals, non-append inserts
+// and gap-exhausted inserts take the materializing slow path: it folds
+// the delta into a clone of the document (one tree refresh, whatever the
+// delta's length; see foldTree), runs the caller's own operations through
+// the JDewey maintenance path, and rebuilds the delta's and the
+// operations' dirty lists in one pass — each from its own postings, never
+// from a whole-document scan (see applyDirty).
 //
 // There is one write path (DESIGN.md §18). applyTo is the only place an
 // operation is validated against a snapshot and applied — fast chain
@@ -49,11 +48,7 @@ import (
 // Scoring note: the corpus constant N of the tf-idf local score stays
 // frozen at its construction value, so unrelated lists keep their scores
 // (standard incremental-IR practice); document frequencies of the touched
-// terms are always recomputed, on both paths. When the index was built
-// WithElemRank, a structural mutation shifts the link-based rank of
-// potentially every node, so fresh ranks are re-applied to every list
-// (see applyDirty); a batch amortizes that full re-rank (and the WAL
-// fsync) across all its operations.
+// terms are always recomputed, on both paths, by occur.Rescore.
 
 // InsertElement adds a new leaf element <tag>text</tag> under the element
 // identified by parentDewey (dotted notation, e.g. "1.2"), at child
@@ -103,11 +98,11 @@ type Mutation struct {
 
 // ApplyBatch applies the mutations in order as one atomic publish: queries
 // observe either none or all of them, the write-ahead log is fsynced once
-// for the whole batch (the group commit), and — on an ElemRank index — the
-// global re-rank runs once instead of once per mutation. The returned
-// slice carries the new Dewey identifier of each insert ("" for
-// removals). Validation is all-or-nothing: the first invalid operation
-// aborts the batch with nothing applied, nothing logged.
+// for the whole batch (the group commit), and each dirty list is rebuilt
+// once instead of once per mutation. The returned slice carries the new
+// Dewey identifier of each insert ("" for removals). Validation is
+// all-or-nothing: the first invalid operation aborts the batch with
+// nothing applied, nothing logged.
 func (ix *Index) ApplyBatch(muts []Mutation) ([]string, error) {
 	if len(muts) == 0 {
 		return nil, nil
@@ -160,8 +155,7 @@ func countOps(muts []Mutation) (inserts, removes int) {
 // snapshot and applied. The all-fast delta chain is tried first; any
 // removal or ineligible insert sends the whole batch through the
 // materializing path instead: fold cur's tree once, run the slow loop,
-// rebuild the fold's and the batch's dirty lists (and, with ElemRank,
-// re-rank) once. ids carries each
+// rebuild the fold's and the batch's dirty lists once. ids carries each
 // insert's new Dewey identifier, dirty the number of list rebuilds, and
 // renumbered whether a gap-exhausted subtree was re-encoded. The first
 // invalid operation fails the batch with nothing built.
@@ -248,9 +242,7 @@ func (ix *Index) fastChain(cur *snapshot, muts []Mutation) (next *snapshot, ids 
 		n := cur.baseStore().N
 		for t := range touched {
 			occs := next.delta.terms[t]
-			for i := range occs {
-				occs[i].Score = float32(score.Local(occs[i].TF, len(occs), n))
-			}
+			occur.Rescore(occs, n)
 			touched[t] = occs
 		}
 		next.store = colstore.NewOverlay(&occur.Map{Terms: touched, N: n, Depth: next.delta.depth}, cur.store)
@@ -323,8 +315,7 @@ type rebuild struct {
 	clones []*xmltree.Node
 	terms  map[string]bool
 	added  []*xmltree.Node
-	// tokenised counts the node texts lists has tokenised; an ElemRank
-	// re-rank extracts the whole tree instead and is not counted.
+	// tokenised counts the node texts lists has tokenised.
 	tokenised int
 }
 
@@ -387,31 +378,13 @@ func (r *rebuild) lists(doc *xmltree.Document) map[string][]occur.Occ {
 // under construction, and returns how many lists it rebuilt. Each list is
 // rebuilt from its own postings (rebuild.lists) and scored against its new
 // document frequency and the store's frozen corpus constant N, so nothing
-// here reads, copies or maintains the occurrence map. With ElemRank enabled, the dirty set is
-// widened to every indexed term: the link-based rank is a global property
-// of the tree, so a structural mutation moves the rank factor of
-// occurrences far from the mutation site, and re-applying fresh ranks
-// everywhere is what keeps the published snapshot's scores mutually
-// consistent (the alternative — freezing ranks like the corpus constant N
-// — would let two occurrences of one term carry ranks from different tree
-// generations). That re-rank extracts the ranked lists of the new tree
-// once and rebuilds every list from them; the snapshot's occurrence map
+// here reads, copies or maintains the occurrence map; the snapshot's map
 // stays the lazy one foldTree gave it.
 func (ix *Index) applyDirty(s *snapshot, r *rebuild) int {
 	n := s.store.N
-	var rebuilt map[string][]occur.Occ
-	if ix.cfg.elemRank {
-		rebuilt = occur.ExtractRanked(s.doc, n, score.ElemRank(s.doc, ix.cfg.erParams)).Terms
-		for term := range rebuilt {
-			r.terms[term] = true
-		}
-	} else {
-		rebuilt = r.lists(s.doc)
-		for _, occs := range rebuilt {
-			for i := range occs {
-				occs[i].Score = float32(score.Local(occs[i].TF, len(occs), n))
-			}
-		}
+	rebuilt := r.lists(s.doc)
+	for _, occs := range rebuilt {
+		occur.Rescore(occs, n)
 	}
 	for term := range r.terms {
 		// The column store is keyed by JDewey-sequence order, which is not

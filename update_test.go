@@ -269,32 +269,3 @@ func TestMutatedIndexSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("post-load insert unsearchable: %v %v", after, err)
 	}
 }
-
-// TestMutationWithElemRank: mutations on a rank-weighted index stay
-// internally consistent across engines.
-func TestMutationWithElemRank(t *testing.T) {
-	idx, err := Open(strings.NewReader(
-		`<r><hub>x<a>m</a><b>m</b></hub><leaf>y</leaf></r>`), WithElemRank())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.InsertElement("1", 2, "extra", "x y fresh"); err != nil {
-		t.Fatal(err)
-	}
-	join, err := idx.Search("x y", SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stackRes, err := idx.Search("x y", SearchOptions{Algorithm: AlgoStack})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(join) != len(stackRes) {
-		t.Fatalf("engines disagree after rank-weighted mutation: %d vs %d", len(join), len(stackRes))
-	}
-	for i := range join {
-		if math.Abs(join[i].Score-stackRes[i].Score) > 1e-6*(1+math.Abs(join[i].Score)) {
-			t.Fatalf("score mismatch at %d: %v vs %v", i, join[i].Score, stackRes[i].Score)
-		}
-	}
-}

@@ -580,39 +580,6 @@ func TestApplyBatchSemantics(t *testing.T) {
 	}
 }
 
-// TestApplyBatchElemRankParity: on an ElemRank index ApplyBatch defers
-// the global re-rank to one pass; the outcome must equal per-op
-// mutations.
-func TestApplyBatchElemRankParity(t *testing.T) {
-	const doc = `<r><hub>x<a>m</a><b>m</b></hub><leaf>y</leaf></r>`
-	batched, err := Open(strings.NewReader(doc), WithElemRank())
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Open(strings.NewReader(doc), WithElemRank())
-	if err != nil {
-		t.Fatal(err)
-	}
-	muts := []Mutation{
-		{ID: "1", Pos: 2, Tag: "extra", Text: "x y fresh"},
-		{ID: "1.1", Pos: 2, Tag: "c", Text: "m y"},
-		{Remove: true, ID: "1.2"},
-	}
-	if _, err := batched.ApplyBatch(muts); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range muts {
-		if m.Remove {
-			if err := serial.RemoveElement(m.ID); err != nil {
-				t.Fatal(err)
-			}
-		} else if _, err := serial.InsertElement(m.ID, m.Pos, m.Tag, m.Text); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertIndexParity(t, "elemrank batch", batched, serial, []string{"x y", "m", "x m", "fresh"})
-}
-
 // TestIngestCompactionHammer races concurrent readers against a writer
 // doing fast appends with an aggressive background-compaction trigger, so
 // readers repeatedly hold pins across compaction flips. Run with -race

@@ -73,7 +73,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/occur"
 	"repro/internal/rdil"
-	"repro/internal/score"
 	"repro/internal/tokenize"
 	"repro/internal/wal"
 	"repro/internal/xmltree"
@@ -226,7 +225,6 @@ type Index struct {
 	// take it): one writer at a time clones, applies, and publishes.
 	writeMu sync.Mutex
 
-	cfg config
 	// queryObs holds the metrics registry, trace store, flight recorder
 	// and in-flight gauge, and is where every query finishes (stats.go).
 	queryObs
@@ -310,25 +308,20 @@ type occHolder struct {
 	once sync.Once
 	doc  *xmltree.Document
 	n    int
-	cfg  config
 	m    *occur.Map
 }
 
 // lazyOcc defers extracting doc's map, against the frozen corpus constant
-// n, to the first get; an ElemRank index's map is ranked over doc.
-func lazyOcc(doc *xmltree.Document, n int, cfg config) *occHolder {
-	return &occHolder{doc: doc, n: n, cfg: cfg}
+// n, to the first get.
+func lazyOcc(doc *xmltree.Document, n int) *occHolder {
+	return &occHolder{doc: doc, n: n}
 }
 
 // get returns the map, extracting it on the first call.
 func (h *occHolder) get() *occur.Map {
 	h.once.Do(func() {
 		if h.m == nil {
-			var ranks []float64
-			if h.cfg.elemRank {
-				ranks = score.ElemRank(h.doc, h.cfg.erParams)
-			}
-			h.m = occur.ExtractRanked(h.doc, h.n, ranks)
+			h.m = occur.ExtractN(h.doc, h.n)
 		}
 	})
 	return h.m
@@ -338,8 +331,8 @@ func (h *occHolder) get() *occur.Map {
 // registry into the column store so list opens, decodes, and quarantines
 // are counted from the first query on. Disk-backed stores additionally get
 // the shared size-bounded decode cache.
-func newIndex(doc *xmltree.Document, m *occHolder, store *colstore.Store, enc *jdewey.Encoding, cfg config) *Index {
-	ix := &Index{cfg: cfg, cache: colstore.NewCache(0)}
+func newIndex(doc *xmltree.Document, m *occHolder, store *colstore.Store, enc *jdewey.Encoding) *Index {
+	ix := &Index{cache: colstore.NewCache(0)}
 	ix.metrics = obs.NewMetrics()
 	ix.cache.SetObs(&ix.metrics.Store)
 	store.SetObs(&ix.metrics.Store)
@@ -373,63 +366,39 @@ func (ix *Index) SetPlanCacheCapacity(int) {}
 // what the pinning discipline exists to prevent.
 func (ix *Index) view() *snapshot { return ix.snap.Load() }
 
-// Option configures index construction.
-type Option func(*config)
-
-type config struct {
-	elemRank bool
-	erParams score.ElemRankParams
-}
-
-// WithElemRank folds a link-based global-importance factor (a
-// PageRank-style ElemRank over the containment edges, after [5]) into
-// every occurrence's local score, the combined g(v, w) of Section II-B.
-// Structurally central elements then outrank peripheral ones at equal
-// text relevance.
-func WithElemRank() Option {
-	return func(c *config) {
-		c.elemRank = true
-		c.erParams = score.DefaultElemRankParams()
-	}
-}
-
 // Open parses an XML document from r and builds the index: the document
 // tree with Dewey and JDewey identifiers, and the column-oriented JDewey
 // inverted lists (both the JDewey-ordered and the score-sorted variants).
-func Open(r io.Reader, opts ...Option) (*Index, error) {
+func Open(r io.Reader) (*Index, error) {
 	doc, err := xmltree.Parse(r)
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: %w", err)
 	}
-	return FromDocument(doc, opts...)
+	return FromDocument(doc)
 }
 
 // OpenFile opens and indexes the XML document at path.
-func OpenFile(path string, opts ...Option) (*Index, error) {
+func OpenFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: %w", err)
 	}
 	defer f.Close()
-	return Open(f, opts...)
+	return Open(f)
 }
 
 // FromDocument indexes an already-parsed document tree. The document is
 // retained and must not be mutated afterwards. JDewey numbers are
 // (re)assigned.
-func FromDocument(doc *xmltree.Document, opts ...Option) (*Index, error) {
+func FromDocument(doc *xmltree.Document) (*Index, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("xmlsearch: empty document")
-	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
 	}
 	// A small reserved gap lets most future insertions keep their family's
 	// JDewey numbers (Section III-A).
 	enc := jdewey.Assign(doc, 4)
-	m := lazyOcc(doc, doc.Len(), cfg)
-	return newIndex(doc, m, colstore.Build(m.get()), enc, cfg), nil
+	m := lazyOcc(doc, doc.Len())
+	return newIndex(doc, m, colstore.Build(m.get()), enc), nil
 }
 
 // Len returns the number of element nodes indexed.
@@ -579,45 +548,41 @@ func (ix *Index) writeGen(s *snapshot, g *colstore.Gen, extra map[string][]byte)
 	return nil
 }
 
-// encodeMeta serializes the index flags and the pinned snapshot's node
-// table (see xmltree.Document.AppendTable).
+// encodeMeta serializes the flags byte (always 0) and the pinned
+// snapshot's node table (see xmltree.Document.AppendTable).
 func (ix *Index) encodeMeta(s *snapshot) []byte {
-	meta := []byte(indexMetaMagic)
-	if ix.cfg.elemRank {
-		meta = append(meta, 1)
-	} else {
-		meta = append(meta, 0)
-	}
-	return s.doc.AppendTable(meta)
+	return s.doc.AppendTable(append([]byte(indexMetaMagic), 0))
 }
 
 // errMetaV2 marks an index.meta of the previous format, which this build
 // does not read.
 var errMetaV2 = fmt.Errorf("xmlsearch: load: index.meta is version 2; this build reads version 3 only")
 
-// parseIndexMeta decodes an index.meta payload: the flags byte, then the
-// node table, whose decoder bounds every count before allocating and
-// rejects anything but one complete, validly numbered tree with no
-// trailing bytes.
-func parseIndexMeta(meta []byte) (elemRank bool, doc *xmltree.Document, err error) {
+// parseIndexMeta decodes an index.meta payload: the flags byte, which
+// must be 0, then the node table, whose decoder bounds every count before
+// allocating and rejects anything but one complete, validly numbered tree
+// with no trailing bytes. Flags 1 marked an index built with the
+// link-based ElemRank factor, which this build no longer computes.
+func parseIndexMeta(meta []byte) (*xmltree.Document, error) {
 	n := len(indexMetaMagic)
 	if len(meta) >= n && string(meta[:n]) == indexMetaMagicV2 {
-		return false, nil, errMetaV2
+		return nil, errMetaV2
 	}
 	if len(meta) < n+1 || string(meta[:n]) != indexMetaMagic {
-		return false, nil, fmt.Errorf("xmlsearch: load: not an index.meta file")
+		return nil, fmt.Errorf("xmlsearch: load: not an index.meta file")
 	}
 	switch meta[n] {
 	case 0:
 	case 1:
-		elemRank = true
+		return nil, fmt.Errorf("xmlsearch: load: index was built with ElemRank, which this build does not support: rebuild the index")
 	default:
-		return false, nil, fmt.Errorf("xmlsearch: load: bad index flags %#x", meta[n])
+		return nil, fmt.Errorf("xmlsearch: load: bad index flags %#x", meta[n])
 	}
-	if doc, err = xmltree.DecodeTable(meta[n+1:]); err != nil {
-		return false, nil, fmt.Errorf("xmlsearch: load: %w", err)
+	doc, err := xmltree.DecodeTable(meta[n+1:])
+	if err != nil {
+		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	return elemRank, doc, nil
+	return doc, nil
 }
 
 // Load opens an index directory written by Save: the column store decodes
@@ -650,27 +615,20 @@ func loadGen(g *colstore.Gen) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
-	elemRank, doc, err := parseIndexMeta(meta)
+	doc, err := parseIndexMeta(meta)
 	if errors.Is(err, errMetaV2) {
 		return nil, fmt.Errorf("%w: rebuild the index from %s", err, g.Path("document.xml"))
 	}
 	if err != nil {
 		return nil, err
 	}
-	var cfg config
-	if elemRank {
-		cfg.elemRank = true
-		cfg.erParams = score.DefaultElemRankParams()
-	}
 	enc, err := jdewey.Adopt(doc, 4)
 	if err != nil {
 		return nil, fmt.Errorf("xmlsearch: load: %w", err)
 	}
 	// The occurrence map is extracted on first use, against the frozen
-	// corpus constant the saved scores were computed with. The saved lists
-	// already carry ElemRank's rank factors (a save follows every re-rank);
-	// its map ranks with the same tree.
-	ix := newIndex(doc, lazyOcc(doc, store.N, cfg), store, enc, cfg)
+	// corpus constant the saved scores were computed with.
+	ix := newIndex(doc, lazyOcc(doc, store.N), store, enc)
 	if err := ix.attachWAL(g); err != nil {
 		return nil, err
 	}
